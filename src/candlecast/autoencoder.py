@@ -21,6 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError, UntrainedModelError
 from .nn import (Adam, Conv1d, ConvSpec, Tensor, as_tensor, maxpool1d,
                  mse_loss, relu, upsample_nearest)
+from .nn.layers import drop_height
 
 
 class AutoencoderModel:
@@ -99,9 +100,7 @@ def train_autoencoder(model: AutoencoderModel, batches: np.ndarray,
     epochs improves on the previous window by less than ``improve_tol``.
     Returns the per-epoch loss history (also kept on the model).
     """
-    X = np.asarray(batches, dtype=np.float64)
-    if X.ndim == 4:
-        X = X[:, :, 0, :]
+    X = drop_height(np.asarray(batches, dtype=np.float64), "batch")
     if X.ndim != 3 or X.shape[0] == 0:
         raise DataError(f"expected a non-empty (n, channels, width) batch, got {X.shape}")
     if not np.all(np.isfinite(X)):
@@ -142,23 +141,11 @@ def encode(model: AutoencoderModel, batch: np.ndarray) -> np.ndarray:
     if not model.trained:
         raise UntrainedModelError(f"{model.name}: encode before training; "
                                   "run train_autoencoder first")
-    x = np.asarray(batch, dtype=np.float64)
-    had_height = x.ndim == 4
-    code = model.encode_forward(Tensor(x)).data
-    if had_height and code.ndim == 3:
-        code = code[:, :, None, :]
-    return code
+    return model.encode_forward(Tensor(batch)).data
 
 
 def decode(model: AutoencoderModel, codes: np.ndarray) -> np.ndarray:
     if not model.trained:
         raise UntrainedModelError(f"{model.name}: decode before training; "
                                   "run train_autoencoder first")
-    x = np.asarray(codes, dtype=np.float64)
-    had_height = x.ndim == 4
-    if had_height:
-        x = x[:, :, 0, :]
-    out = model.decode_forward(Tensor(x)).data
-    if had_height:
-        out = out[:, :, None, :]
-    return out
+    return model.decode_forward(Tensor(codes)).data

@@ -17,6 +17,7 @@ import numpy as np
 from .errors import ConfigError, DataError, UntrainedModelError
 from .nn import (Conv1d, ConvSpec, Dense, LstmCell, Tensor, as_tensor, concat,
                  dropout, lstm_many_to_one, maxpool1d, relu, sigmoid)
+from .nn.layers import drop_height
 
 
 class _Branch:
@@ -82,11 +83,7 @@ class ClassifierModel:
 
 
 def _group_tensor(x, channels: int, window: int, label: str) -> Tensor:
-    x = as_tensor(x)
-    if x.ndim == 4:
-        if x.shape[2] != 1:
-            raise DataError(f"{label}: 4-d input must have height 1, got {x.shape}")
-        x = x.reshape(x.shape[0], x.shape[1], x.shape[3])
+    x = drop_height(as_tensor(x), label)
     if x.ndim != 3:
         raise DataError(f"{label}: expected (batch, channels, width), got {x.shape}")
     if x.shape[1] != channels:

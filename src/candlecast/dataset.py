@@ -18,13 +18,13 @@ accounting downstream stays honest.
 """
 from __future__ import annotations
 
-import io
 import warnings
 from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ArtifactError, DataError
+from .framing import read_framed, split_payload, write_framed
 from .indicators import FeatureClass, FeatureTable
 
 _PRICE_COLUMN_NAMES = frozenset({"open", "high", "low", "close"})
@@ -211,31 +211,21 @@ _MAGIC = "candlecast-windows v1"
 
 def save_windows(ds: WindowedDataset, path) -> None:
     """Flat binary artifact: text header, blank line, little-endian payload."""
-    header = io.StringIO()
-    header.write(_MAGIC + "\n")
-    header.write(f"n={len(ds)}\nchannels={ds.n_channels}\nwindow={ds.window}\n")
-    header.write(f"stride={ds.stride}\nn_train={ds.n_train}\n")
-    header.write(f"normalized={int(ds.normalized)}\n")
-    for name, cls in zip(ds.channel_names, ds.channel_classes):
-        header.write(f"channel:{name}={cls.value}\n")
-    header.write("\n")
-    with open(path, "wb") as fh:
-        fh.write(header.getvalue().encode())
-        for arr in (ds.X, ds.y, ds.close_t, ds.close_next):
-            fh.write(np.ascontiguousarray(arr, dtype="<f8").tobytes())
-        for arr in (ds.end_rows, ds.index):
-            fh.write(np.ascontiguousarray(arr, dtype="<i8").tobytes())
+    header = [f"n={len(ds)}", f"channels={ds.n_channels}", f"window={ds.window}",
+              f"stride={ds.stride}", f"n_train={ds.n_train}",
+              f"normalized={int(ds.normalized)}"]
+    header += [f"channel:{name}={cls.value}"
+               for name, cls in zip(ds.channel_names, ds.channel_classes)]
+    arrays = [(arr, "<f8") for arr in (ds.X, ds.y, ds.close_t, ds.close_next)]
+    arrays += [(arr, "<i8") for arr in (ds.end_rows, ds.index)]
+    write_framed(path, _MAGIC, header, arrays)
 
 
 def load_windows(path) -> WindowedDataset:
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    cut = blob.find(b"\n\n")
-    if cut < 0 or not blob.startswith(_MAGIC.encode()):
-        raise ArtifactError(f"{path} is not a window artifact")
+    lines, payload = read_framed(path, _MAGIC, "window artifact")
     fields = {}
     channel_names, channel_classes = [], []
-    for line in blob[:cut].decode().split("\n")[1:]:
+    for line in lines:
         key, _, val = line.partition("=")
         if key.startswith("channel:"):
             channel_names.append(key[len("channel:"):])
@@ -245,18 +235,9 @@ def load_windows(path) -> WindowedDataset:
     n, c, w = fields["n"], fields["channels"], fields["window"]
     if len(channel_names) != c:
         raise ArtifactError(f"{path}: header names {len(channel_names)} channels, expected {c}")
-    payload = blob[cut + 2:]
-    sizes = [n * c * w, n, n, n, n, n]
-    expected = sum(sizes) * 8
-    if len(payload) != expected:
-        raise ArtifactError(f"{path}: payload is {len(payload)} bytes, expected {expected}")
-    parts = []
-    offset = 0
-    for size, dtype in zip(sizes, ["<f8", "<f8", "<f8", "<f8", "<i8", "<i8"]):
-        parts.append(np.frombuffer(payload, dtype=dtype, count=size, offset=offset * 8).copy())
-        offset += size
-    X, y, close_t, close_next, end_rows, index = parts
-    return WindowedDataset(X=X.reshape(n, c, 1, w), y=y, end_rows=end_rows, index=index,
+    layout = [("<f8", (n, c, 1, w))] + [("<f8", (n,))] * 3 + [("<i8", (n,))] * 2
+    X, y, close_t, close_next, end_rows, index = split_payload(path, payload, layout)
+    return WindowedDataset(X=X, y=y, end_rows=end_rows, index=index,
                            close_t=close_t, close_next=close_next,
                            channel_names=channel_names, channel_classes=channel_classes,
                            window=w, stride=fields["stride"], n_train=fields["n_train"],

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .indicators import FeatureClass, FeatureTable
+from .indicators import FeatureTable
 
 _SQRT2 = math.sqrt(2.0)
 _S3 = math.sqrt(3.0)
@@ -152,31 +152,35 @@ def _denoise_matrix(x: np.ndarray, config: WaveletConfig, levels: int) -> np.nda
     return dwt_inverse(approx, details, lengths, cfg)
 
 
-def denoise_column(x: np.ndarray, config: WaveletConfig) -> np.ndarray:
-    """Denoise one column; output has the input's length.
+def _denoise(x: np.ndarray, config: WaveletConfig) -> np.ndarray:
+    """Denoise every column of an (n, k) matrix in ``config.mode``.
 
-    ``global`` mode transforms the whole column at once.  ``causal`` mode
+    ``global`` mode transforms the whole matrix at once.  ``causal`` mode
     rebuilds row t from the prefix [0..t] only, clamping the level count to
     floor(log2(t+1)) for short prefixes and passing row 0 through untouched.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 1:
-        raise DataError(f"expected a 1-d column, got shape {x.shape}")
     if not np.all(np.isfinite(x)):
         raise DataError("non-finite values in column")
     if config.mode == "global":
-        config.validate_length(len(x))
-        return _denoise_matrix(x[:, None], config, config.levels)[:, 0]
+        config.validate_length(x.shape[0])
+        return _denoise_matrix(x, config, config.levels)
     # causal mode clamps the depth per prefix, so any length >= 1 is fine
-    if len(x) == 0:
+    if x.shape[0] == 0:
         raise DataError("empty column")
-    out = np.empty_like(x)
-    out[0] = x[0]
-    for t in range(1, len(x)):
-        m = t + 1
-        levels = min(config.levels, int(math.log2(m)))
-        out[t] = _denoise_matrix(x[:m, None], config, levels)[-1, 0]
-    return out
+    y = np.empty_like(x)
+    y[0] = x[0]
+    for t in range(1, x.shape[0]):
+        levels = min(config.levels, int(math.log2(t + 1)))
+        y[t] = _denoise_matrix(x[:t + 1], config, levels)[-1]
+    return y
+
+
+def denoise_column(x: np.ndarray, config: WaveletConfig) -> np.ndarray:
+    """Denoise one column in ``config.mode``; output has the input's length."""
+    x = np.asarray(x, dtype=np.float64)
+    if x.ndim != 1:
+        raise DataError(f"expected a 1-d column, got shape {x.shape}")
+    return _denoise(x[:, None], config)[:, 0]
 
 
 def denoise_features(table: FeatureTable, config: WaveletConfig,
@@ -195,16 +199,5 @@ def denoise_features(table: FeatureTable, config: WaveletConfig,
         raise DataError(f"unknown columns {missing!r}")
     out = table.copy()
     cols = [table.names.index(c) for c in columns]
-    x = table.values[:, cols]
-    if config.mode == "global":
-        config.validate_length(x.shape[0])
-        y = _denoise_matrix(x, config, config.levels)
-    else:
-        y = np.empty_like(x)
-        y[0] = x[0]
-        for t in range(1, x.shape[0]):
-            m = t + 1
-            levels = min(config.levels, int(math.log2(m)))
-            y[t] = _denoise_matrix(x[:m], config, levels)[-1]
-    out.values[:, cols] = y
+    out.values[:, cols] = _denoise(table.values[:, cols], config)
     return out

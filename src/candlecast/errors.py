@@ -9,6 +9,10 @@ class DataError(CandlecastError):
     """Malformed or invariant-violating market data."""
 
 
+class NonFiniteError(DataError):
+    """NaN/Inf reached a layer; during training this means a blow-up."""
+
+
 class ConfigError(CandlecastError):
     """Invalid configuration value or file."""
 

@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .indicators import OHLCV_NAMES, FeatureTable
+from .nn.tensor import stable_sigmoid
 
 _LAMBDA = 1.0
 
@@ -69,15 +70,6 @@ def _apply_tree(node: _Node, X: np.ndarray, out: np.ndarray, idx: np.ndarray) ->
     _apply_tree(node.right, X, out, idx[~go_left])
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
-
-
 @dataclass
 class GbdtModel:
     config: GbdtConfig
@@ -100,7 +92,7 @@ class GbdtModel:
         return score
 
     def predict_proba(self, X: np.ndarray) -> np.ndarray:
-        return _sigmoid(self.predict_raw(X))
+        return stable_sigmoid(self.predict_raw(X))
 
     def importance_by_name(self) -> dict:
         return {n: float(v) for n, v in zip(self.feature_names, self.importance)}
@@ -193,14 +185,14 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, config: GbdtConfig, feature_names=Non
 
     all_idx = np.arange(n)
     for _ in range(config.rounds):
-        p = _sigmoid(score)
+        p = stable_sigmoid(score)
         g = p - y
         h = p * (1.0 - p)
         leaf_buf = np.empty(n)
         root = build(all_idx, 0, g, h, leaf_buf)
         model.trees.append(root)
         score += config.learning_rate * leaf_buf
-        p = np.clip(_sigmoid(score), eps, 1.0 - eps)
+        p = np.clip(stable_sigmoid(score), eps, 1.0 - eps)
         model.loss_history.append(float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
     return model
 
@@ -224,22 +216,21 @@ def select_top_k(table: FeatureTable, model: GbdtModel, k: int | None = None) ->
     for name in OHLCV_NAMES:
         if name not in table.names:
             raise DataError(f"table is missing raw column {name!r}")
-    by_name = model.importance_by_name()
     generated = [n for n in table.names if n not in OHLCV_NAMES]
-    missing = [n for n in generated if n not in by_name]
+    missing = [n for n in generated if n not in model.feature_names]
     if missing:
         raise DataError(f"model has no importance for columns {missing!r}")
-    ranked = sorted(generated, key=lambda n: (-by_name[n], n))
+    ranked = [n for n in rank_features(model) if n in generated]
     return table.select(list(OHLCV_NAMES) + ranked[:k])
 
 
 def save_importance_csv(path, model: GbdtModel) -> None:
     """Write ``feature,importance`` rows, best first (ties alphabetical)."""
-    pairs = sorted(zip(model.feature_names, model.importance), key=lambda p: (-p[1], p[0]))
+    by_name = model.importance_by_name()
     with open(path, "w") as fh:
         fh.write("feature,importance\n")
-        for name, imp in pairs:
-            fh.write(f"{name},{repr(float(imp))}\n")
+        for name in rank_features(model):
+            fh.write(f"{name},{repr(by_name[name])}\n")
 
 
 def load_importance_csv(path) -> dict:

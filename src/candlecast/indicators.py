@@ -148,37 +148,24 @@ def _wma(x, w):
     return out
 
 
-def _wilder(x, w, first_at):
+def _wilder(x, w):
     # Wilder smoothing: seed with the plain mean of the first w values of x,
-    # then avg <- (avg*(w-1) + x_t)/w.  x starts being defined at index first_at.
+    # then avg <- (avg*(w-1) + x_t)/w.
     out = np.full(len(x), np.nan)
-    seed_end = first_at + w
-    out[seed_end - 1] = x[first_at:seed_end].mean()
-    for i in range(seed_end, len(x)):
+    out[w - 1] = x[:w].mean()
+    for i in range(w, len(x)):
         out[i] = (out[i - 1] * (w - 1) + x[i]) / w
     return out
 
 
 def _rsi(close, w):
-    n = len(close)
-    out = np.full(n, np.nan)
+    out = np.full(len(close), np.nan)
     delta = np.diff(close)
-    gain = np.where(delta > 0, delta, 0.0)
-    loss = np.where(delta < 0, -delta, 0.0)
-    ag = np.full(n - 1, np.nan)
-    al = np.full(n - 1, np.nan)
-    ag[w - 1] = gain[:w].mean()
-    al[w - 1] = loss[:w].mean()
-    for i in range(w, n - 1):
-        ag[i] = (ag[i - 1] * (w - 1) + gain[i]) / w
-        al[i] = (al[i - 1] * (w - 1) + loss[i]) / w
-    for i in range(w - 1, n - 1):
-        if al[i] == 0.0 and ag[i] == 0.0:
-            out[i + 1] = 50.0
-        elif al[i] == 0.0:
-            out[i + 1] = 100.0
-        else:
-            out[i + 1] = 100.0 - 100.0 / (1.0 + ag[i] / al[i])
+    ag = _wilder(np.where(delta > 0, delta, 0.0), w)[w - 1:]
+    al = _wilder(np.where(delta < 0, -delta, 0.0), w)[w - 1:]
+    with np.errstate(invalid="ignore", divide="ignore"):
+        rsi = 100.0 - 100.0 / (1.0 + ag / al)
+    out[w:] = np.where(al == 0.0, np.where(ag == 0.0, 50.0, 100.0), rsi)
     return out
 
 
@@ -270,7 +257,7 @@ def compute_indicator(spec: IndicatorSpec, series: CandleSeries):
     elif spec.kind == "CCI":
         values = _cci(series, w)
     elif spec.kind == "ATR":
-        values = _wilder(_true_range(series), w, 0)
+        values = _wilder(_true_range(series), w)
     elif spec.kind in ("BollingerUpper", "BollingerLower"):
         num_std = float(p.get("num_std", 2.0))
         values = np.full(n, np.nan)

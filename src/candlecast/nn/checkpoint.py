@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArtifactError
+from ..framing import read_framed, split_payload, write_framed
 from .tensor import Tensor
 
 _MAGIC = "candlecast-checkpoint v1"
@@ -13,51 +14,31 @@ _MAGIC = "candlecast-checkpoint v1"
 def save_checkpoint(params: dict, path) -> None:
     """``params`` maps name -> Tensor or ndarray; names must be unique and
     may not contain '=' or newlines."""
-    entries = []
+    header, arrays = [], []
     for name in sorted(params):
         if "=" in name or "\n" in name or not name:
             raise ArtifactError(f"bad parameter name {name!r}")
         value = params[name]
         data = value.data if isinstance(value, Tensor) else np.asarray(value, dtype=np.float64)
-        entries.append((name, np.ascontiguousarray(data, dtype="<f8")))
-    with open(path, "wb") as fh:
-        fh.write((_MAGIC + "\n").encode())
-        fh.write(f"count={len(entries)}\n".encode())
-        for name, data in entries:
-            shape = ",".join(str(d) for d in data.shape)
-            fh.write(f"{name}={shape}\n".encode())
-        fh.write(b"\n")
-        for _, data in entries:
-            fh.write(data.tobytes())
+        header.append(f"{name}={','.join(str(d) for d in data.shape)}")
+        arrays.append((data, "<f8"))
+    write_framed(path, _MAGIC, [f"count={len(arrays)}", *header], arrays)
 
 
 def load_checkpoint(path) -> dict:
     """Returns name -> float64 ndarray, exactly as saved."""
-    with open(path, "rb") as fh:
-        blob = fh.read()
-    cut = blob.find(b"\n\n")
-    if cut < 0 or not blob.startswith(_MAGIC.encode()):
-        raise ArtifactError(f"{path} is not a parameter checkpoint")
-    lines = blob[:cut].decode().split("\n")[1:]
+    lines, payload = read_framed(path, _MAGIC, "parameter checkpoint")
     if not lines or not lines[0].startswith("count="):
         raise ArtifactError(f"{path}: missing count header")
     count = int(lines[0][len("count="):])
     if len(lines) - 1 != count:
         raise ArtifactError(f"{path}: header lists {len(lines) - 1} tensors, expected {count}")
-    out = {}
-    offset = cut + 2
+    names, layout = [], []
     for line in lines[1:]:
         name, _, shape_s = line.partition("=")
-        shape = tuple(int(d) for d in shape_s.split(",")) if shape_s else ()
-        size = int(np.prod(shape)) if shape else 1
-        end = offset + size * 8
-        if end > len(blob):
-            raise ArtifactError(f"{path}: truncated payload at {name!r}")
-        out[name] = np.frombuffer(blob[offset:end], dtype="<f8").reshape(shape).copy()
-        offset = end
-    if offset != len(blob):
-        raise ArtifactError(f"{path}: {len(blob) - offset} trailing bytes")
-    return out
+        names.append(name)
+        layout.append(("<f8", tuple(int(d) for d in shape_s.split(",")) if shape_s else ()))
+    return dict(zip(names, split_payload(path, payload, layout)))
 
 
 def restore_parameters(params: dict, state: dict) -> None:

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, NonFiniteError
 from .tensor import (Tensor, as_tensor, concat, matmul, parameter, relu,
                      sigmoid, softmax, tanh, _node)
 
@@ -25,8 +25,18 @@ __all__ = ["ConvSpec", "Conv1d", "conv1d_out_len", "conv1d_forward", "maxpool1d"
 
 def check_finite(x: Tensor, where: str) -> Tensor:
     if not np.all(np.isfinite(x.data)):
-        raise DataError(f"non-finite values entering {where}")
+        raise NonFiniteError(f"non-finite values entering {where}")
     return x
+
+
+def drop_height(x, label: str):
+    """Squeeze the unit height axis of an (N, C, 1, L) array or Tensor to
+    (N, C, L); any other rank passes through unchanged."""
+    if x.ndim != 4:
+        return x
+    if x.shape[2] != 1:
+        raise DataError(f"{label}: 4-d input must have height 1, got {x.shape}")
+    return x.reshape(x.shape[0], x.shape[1], x.shape[3])
 
 
 def _to_bcl(x: Tensor):
@@ -37,9 +47,7 @@ def _to_bcl(x: Tensor):
     if x.ndim == 3:
         return x, "batch"
     if x.ndim == 4:
-        if x.shape[2] != 1:
-            raise DataError(f"4-d input must have height 1, got {x.shape}")
-        return x.reshape(x.shape[0], x.shape[1], x.shape[3]), "height"
+        return drop_height(x, "layer input"), "height"
     raise DataError(f"expected 2-d, 3-d, or 4-d input, got shape {x.shape}")
 
 

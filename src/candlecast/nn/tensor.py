@@ -250,14 +250,20 @@ def tanh(a) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
+def stable_sigmoid(z: np.ndarray) -> np.ndarray:
+    """Logistic function on a float64 array; exp only ever sees -|z|, so
+    large magnitudes cannot overflow."""
+    out = np.empty_like(z)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
 def sigmoid(a) -> Tensor:
     a = as_tensor(a)
-    z = a.data
-    out_data = np.empty_like(z)
-    pos = z >= 0
-    out_data[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out_data[~pos] = ez / (1.0 + ez)
+    out_data = stable_sigmoid(a.data)
 
     def backward(g):
         a._accumulate(g * out_data * (1.0 - out_data))

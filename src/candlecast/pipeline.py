@@ -350,7 +350,12 @@ class Manifest:
     def load(cls, paths: RunPaths, config: PipelineConfig) -> "Manifest":
         if not paths.manifest.exists():
             raise ArtifactError(f"no manifest at {paths.manifest}; run earlier stages first")
-        payload = json.loads(paths.manifest.read_text())
+        try:
+            payload = json.loads(paths.manifest.read_text())
+        except ValueError as exc:
+            raise ArtifactError(f"unreadable manifest {paths.manifest}: {exc}") from None
+        if not isinstance(payload, dict):
+            raise ArtifactError(f"unreadable manifest {paths.manifest}: not a JSON object")
         if payload.get("run_id") != config.run_id:
             raise ArtifactError(
                 f"artifacts in {paths.root} were produced by a different "
@@ -408,7 +413,12 @@ def stage_ingest(config: PipelineConfig) -> RunPaths:
             series = load_csv(source, timeframe=config.timeframe,
                               symbol=config.symbol, fill_gaps=config.fill_gaps)
         save_csv(series, paths.market)
+        previous = manifest.files.get(paths.market.name)
         manifest.add(paths.market)
+        current = manifest.files[paths.market.name]
+        if previous is not None and previous != current:
+            # new candles: every other artifact was derived from the old ones
+            manifest.files = {paths.market.name: current}
         manifest.save(config)
     return paths
 
@@ -520,6 +530,15 @@ def _encoded_groups(config: PipelineConfig, paths: RunPaths, manifest: Manifest)
     return ds, info, ohlcv, price_code, non_price_code
 
 
+def _classifier_for(config: PipelineConfig, ohlcv, price_code, non_price_code, seed):
+    """The configured classifier, sized to the three encoded groups."""
+    return build_classifier(ohlcv.shape[1], price_code.shape[1],
+                            non_price_code.shape[1], config.window, seed=seed,
+                            hidden_size=config.clf_hidden,
+                            branch_channels=config.clf_branch_channels,
+                            dropout_rate=config.clf_dropout)
+
+
 def stage_train(config: PipelineConfig) -> tuple:
     """Fit the classifier on the training instances; persist the verdict."""
     paths = run_paths(config)
@@ -529,12 +548,8 @@ def stage_train(config: PipelineConfig) -> tuple:
             _encoded_groups(config, paths, manifest)
         n_train = ds.n_train
         streams = seed_streams(config.seed)
-        model = build_classifier(ohlcv.shape[1], price_code.shape[1],
-                                 non_price_code.shape[1], config.window,
-                                 seed=np.random.default_rng(streams["classifier"]),
-                                 hidden_size=config.clf_hidden,
-                                 branch_channels=config.clf_branch_channels,
-                                 dropout_rate=config.clf_dropout)
+        model = _classifier_for(config, ohlcv, price_code, non_price_code,
+                                np.random.default_rng(streams["classifier"]))
         report = train_classifier(model, ohlcv[:n_train], price_code[:n_train],
                                   non_price_code[:n_train], ds.y[:n_train],
                                   config.train_config(),
@@ -561,11 +576,7 @@ def stage_backtest(config: PipelineConfig) -> tuple:
         ds, info, ohlcv, price_code, non_price_code = \
             _encoded_groups(config, paths, manifest)
         manifest.verify(paths.classifier)
-        model = build_classifier(ohlcv.shape[1], price_code.shape[1],
-                                 non_price_code.shape[1], config.window,
-                                 seed=0, hidden_size=config.clf_hidden,
-                                 branch_channels=config.clf_branch_channels,
-                                 dropout_rate=config.clf_dropout)
+        model = _classifier_for(config, ohlcv, price_code, non_price_code, seed=0)
         restore_parameters(model.parameters(), load_checkpoint(paths.classifier))
         model.trained = True
 

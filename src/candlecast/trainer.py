@@ -21,8 +21,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import ClassifierModel, forward
-from .errors import ConfigError, DataError, TrainingDiverged
+from .errors import ConfigError, DataError, NonFiniteError, TrainingDiverged
 from .nn import Adam, bce_loss
+from .nn.layers import drop_height
 
 _LN10 = math.log(10.0)
 
@@ -108,11 +109,7 @@ class TrainReport:
 
 
 def _as_batch(x, label: str) -> np.ndarray:
-    x = np.asarray(x, dtype=float)
-    if x.ndim == 4:
-        if x.shape[2] != 1:
-            raise DataError(f"{label}: 4-d input must have height 1, got {x.shape}")
-        x = x[:, :, 0, :]
+    x = drop_height(np.asarray(x, dtype=float), label)
     if x.ndim != 3:
         raise DataError(f"{label}: expected (batch, channels, width), got {x.shape}")
     if not np.all(np.isfinite(x)):
@@ -166,11 +163,9 @@ def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
                                 groups[2][idx], training=True, rng=rng)
                 loss = bce_loss(sigma, y[idx])
                 loss.backward()
-            except DataError as exc:
-                if "non-finite" in str(exc):
-                    raise TrainingDiverged(
-                        f"numeric blow-up in epoch {epoch}: {exc}") from exc
-                raise
+            except NonFiniteError as exc:
+                raise TrainingDiverged(
+                    f"numeric blow-up in epoch {epoch}: {exc}") from exc
             value = float(loss.data)
             if not math.isfinite(value):
                 raise TrainingDiverged(f"non-finite loss in epoch {epoch}")

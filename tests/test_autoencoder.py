@@ -54,6 +54,14 @@ def test_build_rejections():
         model.reconstruct(np.zeros((2, 6, 10)))
 
 
+def test_training_rejects_height_above_one():
+    model = build_autoencoder(4, 2, 8, seed=5)
+    batch = np.stack([correlated_batch(20, 4, 8, 6)] * 2, axis=2)  # (n, c, 2, w)
+    with pytest.raises(DataError, match="height 1"):
+        train_autoencoder(model, batch, epochs=1)
+    assert model.loss_history == []
+
+
 def test_zero_epochs_returns_untrained_model():
     model = build_autoencoder(4, 2, 8, seed=5)
     history = train_autoencoder(model, correlated_batch(20, 4, 8, 6), epochs=0)

@@ -1,6 +1,8 @@
 """Window construction, labeling, channel groups, normalization, artifacts."""
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
@@ -233,6 +235,28 @@ def test_save_load_round_trip(tmp_path):
     # byte-identical on re-save
     save_windows(back, tmp_path / "again.bin")
     assert (tmp_path / "again.bin").read_bytes() == path.read_bytes()
+
+
+def test_window_artifact_golden_bytes(tmp_path):
+    # the complete file, pinned so the format cannot drift between versions
+    ds = WindowedDataset(X=np.array([1.0, 2.0, 3.0, 4.0, 5.0, 6.0, 7.0, 8.0]).reshape(2, 2, 1, 2),
+                         y=np.array([1.0, 0.0]), end_rows=np.array([1, 2]),
+                         index=np.array([3600, 7200]), close_t=np.array([2.0, 4.0]),
+                         close_next=np.array([4.0, 3.0]), channel_names=["close", "rsi_7"],
+                         channel_classes=[FeatureClass.OHLCV, FeatureClass.NON_PRICE_LIKE],
+                         window=2, stride=1, n_train=1)
+    path = tmp_path / "tiny.bin"
+    save_windows(ds, path)
+    expected = (b"candlecast-windows v1\nn=2\nchannels=2\nwindow=2\nstride=1\n"
+                b"n_train=1\nnormalized=0\nchannel:close=ohlcv\n"
+                b"channel:rsi_7=non_price_like\n\n"
+                + struct.pack("<14d", 1, 2, 3, 4, 5, 6, 7, 8, 1, 0, 2, 4, 4, 3)
+                + struct.pack("<4q", 1, 2, 3600, 7200))
+    assert path.read_bytes() == expected
+    back = load_windows(path)
+    np.testing.assert_array_equal(back.X, ds.X)
+    np.testing.assert_array_equal(back.index, ds.index)
+    assert back.channel_classes == ds.channel_classes
 
 
 def test_load_rejects_corrupt_artifacts(tmp_path):

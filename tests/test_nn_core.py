@@ -7,10 +7,12 @@ Frozen values:
 """
 from __future__ import annotations
 
+import struct
+
 import numpy as np
 import pytest
 
-from candlecast.errors import ArtifactError, DataError
+from candlecast.errors import ArtifactError, DataError, NonFiniteError
 from candlecast.nn import (Adam, Conv1d, ConvSpec, Dense, LstmCell, Tensor,
                            adam_step, bce_loss, conv1d_forward, conv1d_out_len,
                            dense, dropout, load_checkpoint, lstm_many_to_one,
@@ -349,6 +351,28 @@ def test_checkpoint_round_trip(tmp_path):
     # byte determinism
     save_checkpoint(params, tmp_path / "again.ckpt")
     assert (tmp_path / "again.ckpt").read_bytes() == path.read_bytes()
+
+
+def test_checkpoint_golden_bytes(tmp_path):
+    # the complete file, pinned so the format cannot drift between versions
+    path = tmp_path / "tiny.ckpt"
+    save_checkpoint({"w": np.array([[1.0, -2.0], [0.5, 3.0]]),
+                     "b": parameter([0.25], "b")}, path)
+    expected = (b"candlecast-checkpoint v1\ncount=2\nb=1\nw=2,2\n\n"
+                + struct.pack("<5d", 0.25, 1.0, -2.0, 0.5, 3.0))
+    assert path.read_bytes() == expected
+    state = load_checkpoint(path)
+    np.testing.assert_array_equal(state["w"], [[1.0, -2.0], [0.5, 3.0]])
+    (tmp_path / "long.ckpt").write_bytes(expected + b"\0" * 8)
+    with pytest.raises(ArtifactError, match="payload"):
+        load_checkpoint(tmp_path / "long.ckpt")
+
+
+def test_non_finite_layer_input_has_its_own_type():
+    conv = Conv1d(ConvSpec(2, 4, 3, 1, 1), np.random.default_rng(5))
+    with pytest.raises(NonFiniteError):
+        conv(Tensor(np.full((1, 2, 8), np.inf)))
+    assert issubclass(NonFiniteError, DataError)
 
 
 def test_checkpoint_errors(tmp_path):

@@ -8,11 +8,13 @@ import pytest
 
 from candlecast.cli import main
 from candlecast.errors import ArtifactError, ConfigError, DataError
+from candlecast.market_data import save_csv
 from candlecast.pipeline import (DEFAULTS, Manifest, PipelineConfig,
                                  build_config, load_config_file, parse_number,
                                  parse_overrides, run_all, run_paths,
                                  seed_streams, stage_backtest, stage_ingest,
                                  stage_prepare, stage_train)
+from candlecast.synthetic import sine_market
 
 # small but end-to-end viable settings; windows (7, 14) keep both feature
 # classes populated and top_k=26 retains every generated column
@@ -262,3 +264,37 @@ def test_cli_under_fitted_exit(tmp_path, capsys):
         assert code == 0
     # backtesting still works on the persisted model either way
     assert main(["backtest", *overrides]) == 0
+
+
+def test_torn_manifest_is_an_artifact_error(tmp_path, capsys):
+    overrides = list(_FAST) + [f"out_dir={tmp_path / 'out'}"]
+    assert main(["ingest", *overrides]) == 0
+    paths = run_paths(build_config(None, overrides))
+    paths.manifest.write_text('{"run_id": "')
+    capsys.readouterr()
+    assert main(["report", *overrides]) == 3
+    assert "manifest" in capsys.readouterr().err
+    paths.manifest.write_text("[]")
+    assert main(["report", *overrides]) == 3
+
+
+def test_reingesting_changed_candles_drops_derived_artifacts(tmp_path, capsys):
+    csv = tmp_path / "prices.csv"
+    overrides = list(_FAST) + [f"data={csv}", f"out_dir={tmp_path / 'out'}"]
+    config = build_config(None, overrides)
+    paths = run_paths(config)
+    save_csv(sine_market(n=450, seed=1), csv)
+    assert main(["ingest", *overrides]) == 0
+    assert main(["prepare", *overrides]) == 0
+    # the run id hashes the path, not the content, so it does not change
+    save_csv(sine_market(n=450, seed=2), csv)
+    assert main(["ingest", *overrides]) == 0
+    assert sorted(Manifest.load(paths, config).files) == ["market.csv"]
+    capsys.readouterr()
+    assert main(["train", *overrides]) == 3
+    assert "producing stage" in capsys.readouterr().err
+    # same candles again: nothing is dropped
+    assert main(["prepare", *overrides]) == 0
+    before = paths.manifest.read_bytes()
+    assert main(["ingest", *overrides]) == 0
+    assert paths.manifest.read_bytes() == before
