@@ -22,6 +22,7 @@ from .errors import ConfigError, DataError, UntrainedModelError
 from .nn import (Adam, Conv1d, ConvSpec, Tensor, as_tensor, maxpool1d,
                  mse_loss, relu, upsample_nearest)
 from .nn.layers import drop_height
+from .nn.optim import train_epoch
 
 
 class AutoencoderModel:
@@ -98,7 +99,9 @@ def train_autoencoder(model: AutoencoderModel, batches: np.ndarray,
     Shuffles with its own seeded stream, so a fixed seed reproduces the run
     bit for bit.  Stops early once the mean loss of the latest ``patience``
     epochs improves on the previous window by less than ``improve_tol``.
-    Returns the per-epoch loss history (also kept on the model).
+    Returns the per-epoch loss history (also kept on the model).  A
+    numeric blow-up (non-finite loss or activations) raises
+    TrainingDiverged.
     """
     X = drop_height(np.asarray(batches, dtype=np.float64), "batch")
     if X.ndim != 3 or X.shape[0] == 0:
@@ -114,18 +117,13 @@ def train_autoencoder(model: AutoencoderModel, batches: np.ndarray,
     opt = Adam(model.parameters(), lr=lr)
     n = X.shape[0]
     history = model.loss_history
-    for _ in range(epochs):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, batch_size):
-            take = order[start:start + batch_size]
-            xb = Tensor(X[take])
-            loss = mse_loss(model.reconstruct(xb), xb)
-            opt.zero_grad()
-            loss.backward()
-            opt.step()
-            total += float(loss.data) * len(take)
-        history.append(total / n)
+
+    def batch_loss(idx):
+        xb = Tensor(X[idx])
+        return mse_loss(model.reconstruct(xb), xb)
+
+    for epoch in range(1, epochs + 1):
+        history.append(train_epoch(opt, n, batch_size, rng, batch_loss, epoch))
         if len(history) >= 2 * patience:
             recent = float(np.mean(history[-patience:]))
             previous = float(np.mean(history[-2 * patience:-patience]))

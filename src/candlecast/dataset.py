@@ -24,7 +24,8 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ArtifactError, DataError
-from .framing import read_framed, split_payload, write_framed
+from .framing import (header_value, parse_header, read_framed, split_payload,
+                      write_framed)
 from .indicators import FeatureClass, FeatureTable
 
 _PRICE_COLUMN_NAMES = frozenset({"open", "high", "low", "close"})
@@ -223,15 +224,14 @@ def save_windows(ds: WindowedDataset, path) -> None:
 
 def load_windows(path) -> WindowedDataset:
     lines, payload = read_framed(path, _MAGIC, "window artifact")
-    fields = {}
+    fields, rest = parse_header(path, lines, ("n", "channels", "window", "stride",
+                                              "n_train", "normalized"))
     channel_names, channel_classes = [], []
-    for line in lines:
-        key, _, val = line.partition("=")
-        if key.startswith("channel:"):
-            channel_names.append(key[len("channel:"):])
-            channel_classes.append(FeatureClass(val))
-        else:
-            fields[key] = int(val)
+    for key, val in rest:
+        if not key.startswith("channel:"):
+            raise ArtifactError(f"{path}: unknown header field {key!r}")
+        channel_names.append(key[len("channel:"):])
+        channel_classes.append(header_value(path, key, val, FeatureClass))
     n, c, w = fields["n"], fields["channels"], fields["window"]
     if len(channel_names) != c:
         raise ArtifactError(f"{path}: header names {len(channel_names)} channels, expected {c}")

@@ -23,6 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .framing import read_rows, write_rows
 from .indicators import OHLCV_NAMES, FeatureTable
 from .nn.tensor import stable_sigmoid
 
@@ -227,21 +228,10 @@ def select_top_k(table: FeatureTable, model: GbdtModel, k: int | None = None) ->
 def save_importance_csv(path, model: GbdtModel) -> None:
     """Write ``feature,importance`` rows, best first (ties alphabetical)."""
     by_name = model.importance_by_name()
-    with open(path, "w") as fh:
-        fh.write("feature,importance\n")
-        for name in rank_features(model):
-            fh.write(f"{name},{repr(by_name[name])}\n")
+    write_rows(path, "feature,importance",
+               ((name, by_name[name]) for name in rank_features(model)))
 
 
 def load_importance_csv(path) -> dict:
-    out = {}
-    with open(path) as fh:
-        header = fh.readline().strip()
-        if header != "feature,importance":
-            raise DataError(f"bad importance CSV header in {path}")
-        for line in fh:
-            line = line.strip()
-            if line:
-                name, _, imp = line.partition(",")
-                out[name] = float(imp)
-    return out
+    return dict(read_rows(path, "feature,importance", "feature importance table",
+                          lambda f: (f[0], float(f[1]))))

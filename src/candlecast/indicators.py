@@ -29,6 +29,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import DataError
+from .framing import (header_value, parse_header, read_lines, read_rows, write_lines,
+                      write_rows)
 from .market_data import CandleSeries
 
 OHLCV_NAMES = ["open", "high", "low", "close", "volume"]
@@ -324,7 +326,7 @@ class FeatureTable:
                             self.values[:, idx], [self.classes[i] for i in idx])
 
     def with_column_values(self, name: str, values: np.ndarray) -> None:
-        """Replace one column in place (used by denoising)."""
+        """Replace one column in place."""
         values = np.asarray(values, dtype=np.float64)
         if values.shape != (len(self.index),):
             raise DataError(f"replacement for {name!r} has wrong length")
@@ -335,41 +337,25 @@ class FeatureTable:
 
     def to_csv(self, path, classmap_path=None) -> None:
         """Write the table as CSV plus a ``name=class`` sidecar text file."""
-        with open(path, "w") as fh:
-            fh.write("timestamp," + ",".join(self.names) + "\n")
-            for i in range(len(self.index)):
-                row = ",".join(repr(float(v)) for v in self.values[i])
-                fh.write(f"{int(self.index[i])},{row}\n")
+        write_rows(path, ",".join(["timestamp", *self.names]),
+                   ((int(t), *row) for t, row in zip(self.index, self.values)))
         if classmap_path is None:
             classmap_path = str(path) + ".classes"
-        with open(classmap_path, "w") as fh:
-            for name, cls in zip(self.names, self.classes):
-                fh.write(f"{name}={cls.value}\n")
+        write_lines(classmap_path, (f"{name}={cls.value}"
+                                    for name, cls in zip(self.names, self.classes)))
 
     @classmethod
     def from_csv(cls, path, classmap_path=None) -> "FeatureTable":
+        """Read a ``to_csv`` pair; the sidecar's names fix the expected header."""
         if classmap_path is None:
             classmap_path = str(path) + ".classes"
-        classmap = {}
-        with open(classmap_path) as fh:
-            for line in fh:
-                line = line.strip()
-                if line:
-                    name, _, tag = line.partition("=")
-                    classmap[name] = FeatureClass(tag)
-        with open(path) as fh:
-            header = fh.readline().strip().split(",")
-            if header[0] != "timestamp":
-                raise DataError(f"bad feature CSV header in {path}")
-            names = header[1:]
-            index, rows = [], []
-            for line in fh:
-                parts = line.strip().split(",")
-                index.append(int(parts[0]))
-                rows.append([float(x) for x in parts[1:]])
-        return cls(np.array(index), names,
-                   np.array(rows, dtype=np.float64).reshape(len(index), len(names)),
-                   [classmap[n] for n in names])
+        _, pairs = parse_header(classmap_path, [line for _, line in read_lines(classmap_path)])
+        names = [name for name, _ in pairs]
+        rows = read_rows(path, ",".join(["timestamp", *names]), "feature table",
+                         lambda f: (int(f[0]), [float(x) for x in f[1:]]))
+        return cls(np.array([t for t, _ in rows], dtype=np.int64), names,
+                   np.array([v for _, v in rows], dtype=np.float64).reshape(len(rows), len(names)),
+                   [header_value(classmap_path, name, tag, FeatureClass) for name, tag in pairs])
 
 
 def default_grid(windows=(7, 14, 21, 35, 50)) -> list[IndicatorSpec]:

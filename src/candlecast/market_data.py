@@ -21,6 +21,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import DataError
+from .framing import replacing
 
 CSV_HEADER = ["timestamp", "open", "high", "low", "close", "volume"]
 
@@ -189,7 +190,7 @@ def _fill_gaps(ts, o, h, l, c, v, timeframe):
 
 def save_csv(series: CandleSeries, path) -> None:
     """Write a series back to CSV; ``load_csv(save_csv(s))`` reproduces ``s``."""
-    with open(path, "w", newline="") as fh:
+    with replacing(path, newline="") as fh:
         w = csv.writer(fh)
         w.writerow(CSV_HEADER)
         for i in range(len(series)):

@@ -5,7 +5,8 @@ from __future__ import annotations
 import numpy as np
 
 from ..errors import ArtifactError
-from ..framing import read_framed, split_payload, write_framed
+from ..framing import (header_value, parse_header, parse_shape, read_framed,
+                       split_payload, write_framed)
 from .tensor import Tensor
 
 _MAGIC = "candlecast-checkpoint v1"
@@ -28,17 +29,12 @@ def save_checkpoint(params: dict, path) -> None:
 def load_checkpoint(path) -> dict:
     """Returns name -> float64 ndarray, exactly as saved."""
     lines, payload = read_framed(path, _MAGIC, "parameter checkpoint")
-    if not lines or not lines[0].startswith("count="):
-        raise ArtifactError(f"{path}: missing count header")
-    count = int(lines[0][len("count="):])
+    count = parse_header(path, lines[:1], ("count",))[0]["count"]
     if len(lines) - 1 != count:
         raise ArtifactError(f"{path}: header lists {len(lines) - 1} tensors, expected {count}")
-    names, layout = [], []
-    for line in lines[1:]:
-        name, _, shape_s = line.partition("=")
-        names.append(name)
-        layout.append(("<f8", tuple(int(d) for d in shape_s.split(",")) if shape_s else ()))
-    return dict(zip(names, split_payload(path, payload, layout)))
+    _, shapes = parse_header(path, lines[1:])
+    layout = [("<f8", header_value(path, name, shape, parse_shape)) for name, shape in shapes]
+    return dict(zip((name for name, _ in shapes), split_payload(path, payload, layout)))
 
 
 def restore_parameters(params: dict, state: dict) -> None:

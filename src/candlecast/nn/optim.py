@@ -1,9 +1,12 @@
-"""Adaptive-moment (Adam) parameter updates with bias correction."""
+"""Adaptive-moment (Adam) parameter updates with bias correction, and the
+mini-batch epoch both trainers run."""
 from __future__ import annotations
+
+import math
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, NonFiniteError, TrainingDiverged
 from .tensor import Tensor
 
 
@@ -55,3 +58,28 @@ class Adam:
             p.data, self._m[i], self._v[i] = adam_step(
                 p.data, grad, self._m[i], self._v[i], self.t,
                 self.lr, self.beta1, self.beta2, self.eps)
+
+
+def train_epoch(opt: Adam, n: int, batch_size: int, rng: np.random.Generator,
+                batch_loss, epoch: int) -> float:
+    """One pass over ``n`` instances in a ``rng``-shuffled order: for each
+    mini-batch of indices, ``batch_loss(idx)`` builds the loss, then
+    backward and one optimizer step.  Returns the instance-weighted mean
+    loss.  A non-finite loss, or NaN/Inf reaching a layer, raises
+    TrainingDiverged."""
+    order = rng.permutation(n)
+    total = 0.0
+    for start in range(0, n, batch_size):
+        idx = order[start:start + batch_size]
+        opt.zero_grad()
+        try:
+            loss = batch_loss(idx)
+            loss.backward()
+        except NonFiniteError as exc:
+            raise TrainingDiverged(f"numeric blow-up in epoch {epoch}: {exc}") from exc
+        value = float(loss.data)
+        if not math.isfinite(value):
+            raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
+        total += value * idx.shape[0]
+        opt.step()
+    return total / n

@@ -16,7 +16,6 @@ statistics or weights sees only the training split.
 from __future__ import annotations
 
 import hashlib
-import json
 import math
 import warnings
 from contextlib import contextmanager
@@ -33,6 +32,7 @@ from .denoise import WaveletConfig, denoise_features
 from .errors import ArtifactError, ConfigError, DataError
 from .feature_select import (GbdtConfig, fit_gbdt, save_importance_csv,
                              select_top_k)
+from .framing import read_json, write_json
 from .indicators import default_grid, generate_features
 from .market_data import load_csv, save_csv
 from .nn import load_checkpoint, restore_parameters, save_checkpoint
@@ -298,10 +298,6 @@ def _sha256(path: Path) -> str:
     return hashlib.sha256(path.read_bytes()).hexdigest()
 
 
-def _dump_json(payload: dict, path: Path) -> None:
-    path.write_text(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-
-
 @dataclass(frozen=True)
 class RunPaths:
     root: Path
@@ -350,12 +346,7 @@ class Manifest:
     def load(cls, paths: RunPaths, config: PipelineConfig) -> "Manifest":
         if not paths.manifest.exists():
             raise ArtifactError(f"no manifest at {paths.manifest}; run earlier stages first")
-        try:
-            payload = json.loads(paths.manifest.read_text())
-        except ValueError as exc:
-            raise ArtifactError(f"unreadable manifest {paths.manifest}: {exc}") from None
-        if not isinstance(payload, dict):
-            raise ArtifactError(f"unreadable manifest {paths.manifest}: not a JSON object")
+        payload = read_json(paths.manifest, "manifest")
         if payload.get("run_id") != config.run_id:
             raise ArtifactError(
                 f"artifacts in {paths.root} were produced by a different "
@@ -372,8 +363,8 @@ class Manifest:
         return manifest
 
     def save(self, config: PipelineConfig) -> None:
-        _dump_json({"run_id": self.run_id, "config": config.canonical(),
-                    "files": self.files}, self.paths.manifest)
+        write_json(self.paths.manifest, {"run_id": self.run_id, "config": config.canonical(),
+                                         "files": self.files})
 
     def add(self, path: Path) -> None:
         self.files[path.name] = _sha256(path)
@@ -390,6 +381,10 @@ class Manifest:
             raise ArtifactError(f"refusing {path.name}: content hash {actual[:12]} "
                                 f"does not match the recorded {recorded[:12]}")
         return path
+
+    def verified_json(self, path: Path) -> dict:
+        """A JSON artifact of this run, hash-verified, then parsed."""
+        return read_json(self.verify(path), path.name)
 
 
 def stage_ingest(config: PipelineConfig) -> RunPaths:
@@ -491,7 +486,7 @@ def stage_prepare(config: PipelineConfig) -> RunPaths:
         "rows": rows, "train_rows": train_rows,
         "window": config.window, "stride": config.stride,
     }
-    _dump_json(payload, paths.prepare_json)
+    write_json(paths.prepare_json, payload)
     for artifact in (paths.importance, paths.dataset, paths.ae_price,
                      paths.ae_non_price, paths.prepare_json):
         manifest.add(artifact)
@@ -500,11 +495,8 @@ def stage_prepare(config: PipelineConfig) -> RunPaths:
 
 
 def _load_prepare(paths: RunPaths, manifest: Manifest):
-    manifest.verify(paths.dataset)
-    manifest.verify(paths.prepare_json)
-    ds = load_windows(paths.dataset)
-    info = json.loads(paths.prepare_json.read_text())
-    return ds, info
+    ds = load_windows(manifest.verify(paths.dataset))
+    return ds, manifest.verified_json(paths.prepare_json)
 
 
 def _restore_autoencoders(config: PipelineConfig, paths: RunPaths,
@@ -556,10 +548,10 @@ def stage_train(config: PipelineConfig) -> tuple:
                                   seed=np.random.default_rng(streams["trainer"]))
         save_checkpoint(model.parameters(), paths.classifier)
         write_history_csv(report.history, paths.history)
-        _dump_json({"status": report.status, "sigma_star": report.sigma_star,
-                    "loss_e": report.loss_e, "loss_10": report.loss_10,
-                    "epochs_run": report.epochs_run, "converged": report.converged,
-                    "zeta": config.zeta}, paths.train_json)
+        write_json(paths.train_json, {"status": report.status, "sigma_star": report.sigma_star,
+                                      "loss_e": report.loss_e, "loss_10": report.loss_10,
+                                      "epochs_run": report.epochs_run,
+                                      "converged": report.converged, "zeta": config.zeta})
         for artifact in (paths.classifier, paths.history, paths.train_json):
             manifest.add(artifact)
         manifest.save(config)
@@ -571,8 +563,7 @@ def stage_backtest(config: PipelineConfig) -> tuple:
     paths = run_paths(config)
     manifest = Manifest.load(paths, config)
     with _stage("backtest"):
-        manifest.verify(paths.train_json)
-        verdict = json.loads(paths.train_json.read_text())
+        verdict = manifest.verified_json(paths.train_json)
         ds, info, ohlcv, price_code, non_price_code = \
             _encoded_groups(config, paths, manifest)
         manifest.verify(paths.classifier)
@@ -618,7 +609,7 @@ def stage_backtest(config: PipelineConfig) -> tuple:
             for artifact in (paths.report_json(i), paths.report_csv(i),
                              paths.ledger_csv(i)):
                 manifest.add(artifact)
-        _dump_json({"runs": runs, "verdict": verdict["status"]}, paths.backtest_json)
+        write_json(paths.backtest_json, {"runs": runs, "verdict": verdict["status"]})
         manifest.add(paths.backtest_json)
         manifest.save(config)
     return paths, reports
@@ -638,15 +629,13 @@ def report_text(config: PipelineConfig) -> str:
     """Human-readable summary of a finished run."""
     paths = run_paths(config)
     manifest = Manifest.load(paths, config)
-    manifest.verify(paths.train_json)
-    verdict = json.loads(paths.train_json.read_text())
+    verdict = manifest.verified_json(paths.train_json)
     lines = [f"run {config.run_id} at {paths.root}",
              f"verdict: {verdict['status']} "
              f"(sigma*={verdict['sigma_star']:.4f}, zeta={verdict['zeta']}, "
              f"epochs={verdict['epochs_run']})"]
     if paths.backtest_json.name in manifest.files:
-        manifest.verify(paths.backtest_json)
-        summary = json.loads(paths.backtest_json.read_text())
+        summary = manifest.verified_json(paths.backtest_json)
         lines.append("theta    trades  accuracy  pnl_saving%  pnl_compound%")
         for run in summary["runs"]:
             lines.append(f"{run['theta']:<8.4g}{run['trades']:>6}  "

@@ -14,12 +14,12 @@ round trip costs 2 * fee_rate * margin.
 """
 from __future__ import annotations
 
-import json
-from dataclasses import dataclass, field
+from dataclasses import astuple, dataclass, field
 
 import numpy as np
 
 from .errors import ConfigError, DataError
+from .framing import read_rows, write_json, write_rows
 
 LONG = "Long"
 SHORT = "Short"
@@ -204,9 +204,7 @@ def report_to_dict(report: BacktestReport, extra: dict | None = None) -> dict:
 
 
 def write_report_json(report: BacktestReport, path, extra: dict | None = None) -> None:
-    with open(path, "w") as fh:
-        fh.write(json.dumps(report_to_dict(report, extra), sort_keys=True, indent=2))
-        fh.write("\n")
+    write_json(path, report_to_dict(report, extra))
 
 
 def write_report_csv(report: BacktestReport, path, extra: dict | None = None) -> None:
@@ -214,40 +212,21 @@ def write_report_csv(report: BacktestReport, path, extra: dict | None = None) ->
     items = list(report_to_dict(report).items())
     if extra:
         items += sorted(extra.items())
-    lines = ["metric,value"]
-    for name, value in items:
-        text = repr(value) if isinstance(value, float) else str(value)
-        lines.append(f"{name},{text}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, "metric,value", items)
 
 
 _LEDGER_HEADER = "t,sigma,direction,margin,entry,exit,pnl,account"
 
 
 def write_ledger_csv(ledger, path) -> None:
-    lines = [_LEDGER_HEADER]
-    for row in ledger:
-        lines.append(",".join((str(row.t), repr(row.sigma), row.direction,
-                               repr(row.margin), repr(row.entry), repr(row.exit),
-                               repr(row.pnl), repr(row.account))))
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, _LEDGER_HEADER, map(astuple, ledger))
+
+
+def _trade(fields) -> Trade:
+    if fields[2] not in (LONG, SHORT):
+        raise ValueError(f"unknown direction {fields[2]!r}")
+    return Trade(int(fields[0]), float(fields[1]), fields[2], *map(float, fields[3:]))
 
 
 def read_ledger_csv(path) -> list:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != _LEDGER_HEADER:
-        raise DataError(f"{path}: not a trade ledger")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 8:
-            raise DataError(f"{path}: malformed row {ln!r}")
-        if parts[2] not in (LONG, SHORT):
-            raise DataError(f"{path}: unknown direction {parts[2]!r}")
-        out.append(Trade(int(parts[0]), float(parts[1]), parts[2],
-                         float(parts[3]), float(parts[4]), float(parts[5]),
-                         float(parts[6]), float(parts[7])))
-    return out
+    return read_rows(path, _LEDGER_HEADER, "trade ledger", _trade)

@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .classifier import ClassifierModel, forward
-from .errors import ConfigError, DataError, NonFiniteError, TrainingDiverged
+from .errors import ConfigError, DataError
+from .framing import read_rows, write_rows
 from .nn import Adam, bce_loss
 from .nn.layers import drop_height
+from .nn.optim import train_epoch
 
 _LN10 = math.log(10.0)
 
@@ -152,26 +154,13 @@ def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
     losses_10: list[float] = []
     converged = False
     epochs_run = 0
+
+    def batch_loss(idx):
+        sigma = forward(model, *(g[idx] for g in groups), training=True, rng=rng)
+        return bce_loss(sigma, y[idx])
+
     for epoch in range(1, config.max_epochs + 1):
-        order = rng.permutation(n)
-        total = 0.0
-        for start in range(0, n, config.batch_size):
-            idx = order[start:start + config.batch_size]
-            opt.zero_grad()
-            try:
-                sigma = forward(model, groups[0][idx], groups[1][idx],
-                                groups[2][idx], training=True, rng=rng)
-                loss = bce_loss(sigma, y[idx])
-                loss.backward()
-            except NonFiniteError as exc:
-                raise TrainingDiverged(
-                    f"numeric blow-up in epoch {epoch}: {exc}") from exc
-            value = float(loss.data)
-            if not math.isfinite(value):
-                raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
-            total += value * idx.shape[0]
-            opt.step()
-        loss_e = total / n
+        loss_e = train_epoch(opt, n, config.batch_size, rng, batch_loss, epoch)
         l10 = loss_base10(loss_e)
         history.append((loss_e, l10, sigma_star(l10)))
         losses_10.append(l10)
@@ -186,24 +175,15 @@ def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
                        loss_e=loss_e, loss_10=l10, sigma_star=star, history=history)
 
 
+_HISTORY_HEADER = "epoch,loss_e,loss_10,sigma_star"
+
+
 def write_history_csv(history, path) -> None:
     """Loss curve as ``epoch,loss_e,loss_10,sigma_star`` with 1-based epochs."""
-    lines = ["epoch,loss_e,loss_10,sigma_star"]
-    for epoch, (loss_e, l10, star) in enumerate(history, start=1):
-        lines.append(f"{epoch},{repr(loss_e)},{repr(l10)},{repr(star)}")
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
+    write_rows(path, _HISTORY_HEADER,
+               ((epoch, *row) for epoch, row in enumerate(history, start=1)))
 
 
 def read_history_csv(path) -> list:
-    with open(path) as fh:
-        lines = [ln.strip() for ln in fh if ln.strip()]
-    if not lines or lines[0] != "epoch,loss_e,loss_10,sigma_star":
-        raise DataError(f"{path}: not a loss-history file")
-    out = []
-    for ln in lines[1:]:
-        parts = ln.split(",")
-        if len(parts) != 4:
-            raise DataError(f"{path}: malformed row {ln!r}")
-        out.append((float(parts[1]), float(parts[2]), float(parts[3])))
-    return out
+    return read_rows(path, _HISTORY_HEADER, "loss-history file",
+                     lambda f: tuple(map(float, f[1:])))

@@ -6,7 +6,8 @@ import pytest
 
 from candlecast.autoencoder import (AutoencoderModel, build_autoencoder, decode,
                                     encode, train_autoencoder)
-from candlecast.errors import ConfigError, DataError, UntrainedModelError
+from candlecast.errors import (ConfigError, DataError, TrainingDiverged,
+                               UntrainedModelError)
 
 
 def correlated_batch(n, channels, width, seed):
@@ -105,6 +106,14 @@ def test_training_is_deterministic():
     assert runs[0][0] == runs[1][0]
     for k in runs[0][1]:
         np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k])
+
+
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_divergence_raises():
+    model = build_autoencoder(4, 2, 8, seed=24)
+    with pytest.raises(TrainingDiverged, match="epoch"):
+        train_autoencoder(model, correlated_batch(60, 4, 8, seed=25), epochs=5,
+                          lr=1e150, seed=26)
 
 
 def test_encode_deterministic_inference():

@@ -248,6 +248,13 @@ def test_cli_exit_codes(tmp_path, capsys):
                  f"out_dir={tmp_path / 'z'}"]) in (2, 3)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
+def test_cli_autoencoder_divergence_exits_5(tmp_path, capsys):
+    overrides = list(_FAST) + ["ae_learning_rate=1e150", f"out_dir={tmp_path / 'out'}"]
+    assert main(["run-all", *overrides]) == 5
+    assert "training diverged: [prepare:autoencoders]" in capsys.readouterr().err
+
+
 def test_cli_under_fitted_exit(tmp_path, capsys):
     # one epoch on noise-heavy settings cannot clear zeta=0.8
     overrides = list(_FAST) + ["max_epochs=1", f"out_dir={tmp_path / 'out'}"]
