@@ -18,6 +18,7 @@ from .errors import ConfigError, DataError, UntrainedModelError
 from .nn import (Conv1d, ConvSpec, Dense, LstmCell, Tensor, as_tensor, concat,
                  dropout, lstm_many_to_one, maxpool1d, relu, sigmoid)
 from .nn.layers import drop_height
+from .nn.tensor import no_grad
 
 
 class _Branch:
@@ -132,13 +133,14 @@ def predict_batch(model: ClassifierModel, ohlcv, price_code, non_price_code,
                                   "run the training loop first")
     n = np.asarray(ohlcv).shape[0]
     out = np.empty(n)
-    for start in range(0, n, chunk):
-        sl = slice(start, min(start + chunk, n))
-        out[sl] = forward(model,
-                          np.asarray(ohlcv)[sl],
-                          np.asarray(price_code)[sl],
-                          np.asarray(non_price_code)[sl],
-                          training=False).data
+    with no_grad():
+        for start in range(0, n, chunk):
+            sl = slice(start, min(start + chunk, n))
+            out[sl] = forward(model,
+                              np.asarray(ohlcv)[sl],
+                              np.asarray(price_code)[sl],
+                              np.asarray(non_price_code)[sl],
+                              training=False).data
     return out
 
 

@@ -16,7 +16,7 @@ import numpy as np
 
 from ..errors import DataError, NonFiniteError
 from .tensor import (Tensor, as_tensor, concat, matmul, parameter, relu,
-                     sigmoid, softmax, tanh, _node)
+                     sigmoid, softmax, stable_sigmoid, tanh, _node)
 
 __all__ = ["ConvSpec", "Conv1d", "conv1d_out_len", "conv1d_forward", "maxpool1d",
            "upsample_nearest", "LstmCell", "lstm_step", "lstm_many_to_one",
@@ -95,7 +95,8 @@ def _window_index(spec: ConvSpec, l_out: int) -> np.ndarray:
 
 
 def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
-    """Cross-correlation along the last axis.
+    """Cross-correlation along the last axis, lowered to one matrix product
+    per pass over a (batch * l_out, kernel * in_channels) window matrix.
 
     weight is (out_channels, in_channels, kernel_size); bias is (out_channels,).
     """
@@ -109,29 +110,29 @@ def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
     if bias.shape != (spec.out_channels,):
         raise DataError(f"conv1d bias shape {bias.shape} does not match {spec}")
     l_out = conv1d_out_len(spec, l)
-    idx = _window_index(spec, l_out)
+    d, k, p = spec.out_channels, spec.kernel_size, spec.padding
 
-    xd = x3.data
-    if spec.padding:
-        xd = np.pad(xd, ((0, 0), (0, 0), (spec.padding, spec.padding)))
-    windows = xd[:, :, idx]                                   # (b, c, l_out, k)
-    out_data = np.einsum("bclk,dck->bdl", windows, weight.data) \
-        + bias.data[None, :, None]
+    padded = np.zeros((b, l + 2 * p, c))                      # channels last
+    padded[:, p:p + l] = x3.data.transpose(0, 2, 1)
+    # the one window-sized copy: row (n, i) holds taps 0..k-1 of output i
+    cols = padded[:, _window_index(spec, l_out)].reshape(b * l_out, k * c)
+    w2 = weight.data.transpose(0, 2, 1).reshape(d, k * c)
+    out_data = (cols @ w2.T + bias.data).reshape(b, l_out, d).transpose(0, 2, 1)
 
     def backward(g):
+        g2 = g.transpose(0, 2, 1).reshape(b * l_out, d)
         if weight.requires_grad:
-            weight._accumulate(np.einsum("bclk,bdl->dck", windows, g))
+            weight._accumulate((g2.T @ cols).reshape(d, k, c).transpose(0, 2, 1))
         if bias.requires_grad:
-            bias._accumulate(g.sum(axis=(0, 2)))
+            bias._accumulate(g2.sum(axis=0))
         if x3.requires_grad:
-            gx = np.zeros((b, c, l + 2 * spec.padding))
-            for k in range(spec.kernel_size):
-                # tap k writes a strided, collision-free slice per output row
-                sl = slice(k * spec.dilation, k * spec.dilation + spec.stride * l_out, spec.stride)
-                gx[:, :, sl] += np.einsum("bdl,dc->bcl", g, weight.data[:, :, k])
-            if spec.padding:
-                gx = gx[:, :, spec.padding:-spec.padding]
-            x3._accumulate(gx)
+            gcols = (g2 @ w2).reshape(b, l_out, k, c)
+            gx = np.zeros((b, l + 2 * p, c))
+            for j in range(k):
+                # tap j writes a strided, collision-free slice per output row
+                first = j * spec.dilation
+                gx[:, first:first + spec.stride * l_out:spec.stride] += gcols[:, :, j]
+            x3._accumulate(gx[:, p:p + l].transpose(0, 2, 1))
 
     out = _node(out_data, (x3, weight, bias), backward)
     return _restore(out, tag)
@@ -166,26 +167,48 @@ def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
         raise DataError(f"pool stride must be >= 1, got {stride}")
     x = check_finite(as_tensor(x), "maxpool1d")
     x3, tag = _to_bcl(x)
-    b, c, l = x3.shape
+    l = x3.shape[2]
     if kernel > l:
         raise DataError(f"pool kernel {kernel} exceeds length {l}")
+    if stride == kernel and l % kernel == 0:
+        out = _maxpool_tiled(x3, kernel)
+    else:
+        out = _maxpool_windows(x3, kernel, stride)
+    return _restore(out, tag)
+
+
+def _maxpool_tiled(x3: Tensor, kernel: int) -> Tensor:
+    """Windows that tile the length exactly: a reshape instead of a gather."""
+    b, c, l = x3.shape
+    tiles = x3.data.reshape(b, c, l // kernel, kernel)
+    arg = tiles.argmax(axis=3)[..., None]                     # first max wins
+    out_data = np.take_along_axis(tiles, arg, axis=3)[..., 0]
+
+    def backward(g):
+        gx = np.zeros(tiles.shape)
+        np.put_along_axis(gx, arg, g[..., None], axis=3)
+        x3._accumulate(gx.reshape(b, c, l))
+
+    return _node(out_data, (x3,), backward)
+
+
+def _maxpool_windows(x3: Tensor, kernel: int, stride: int) -> Tensor:
+    """Any geometry, overlapping or ragged windows included."""
+    b, c, l = x3.shape
     spec = ConvSpec(1, 1, kernel, stride)
     l_out = conv1d_out_len(spec, l)
-    idx = _window_index(spec, l_out)
-    windows = x3.data[:, :, idx]                              # (b, c, l_out, k)
+    windows = x3.data[:, :, _window_index(spec, l_out)]      # (b, c, l_out, k)
     arg = windows.argmax(axis=3)                              # first max wins
     out_data = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
-    src = idx[np.arange(l_out)[None, None, :], arg]           # (b, c, l_out) source positions
 
     def backward(g):
         gx = np.zeros((b, c, l))
-        bi = np.arange(b)[:, None, None]
-        ci = np.arange(c)[None, :, None]
-        np.add.at(gx, (bi, ci, src), g)
+        for j in range(kernel):
+            # tap j of every window: a strided, collision-free slice
+            gx[:, :, j:j + stride * l_out:stride] += np.where(arg == j, g, 0.0)
         x3._accumulate(gx)
 
-    out = _node(out_data, (x3,), backward)
-    return _restore(out, tag)
+    return _node(out_data, (x3,), backward)
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
@@ -205,6 +228,11 @@ def upsample_nearest(x, factor: int) -> Tensor:
     return _restore(out, tag)
 
 
+# column blocks of the stacked gate weights: the tanh candidate first, then
+# the three sigmoid gates, so one sigmoid call covers columns h..4h
+_GATES = ("c", "u", "f", "o")
+
+
 class LstmCell:
     """Gated recurrent cell: candidate, update, forget, and output gates over
     the concatenation [a_prev, x]; all four weight matrices are
@@ -217,7 +245,7 @@ class LstmCell:
         width = self.hidden_size + self.input_size
         scale = 1.0 / np.sqrt(width)
         self.params = {}
-        for gate in ("c", "u", "f", "o"):
+        for gate in _GATES:
             w = parameter(rng.normal(0.0, scale, (self.hidden_size, width)),
                           name=f"{name}.W_{gate}")
             bias = parameter(np.zeros(self.hidden_size), name=f"{name}.b_{gate}")
@@ -228,14 +256,83 @@ class LstmCell:
         return {p.name: p for p in self.params.values()}
 
 
+def _lstm_sequence(cell: LstmCell, seq: Tensor, a0: Tensor, c0: Tensor) -> Tensor:
+    """The recurrence over a (batch, T, input) block from states (a0, c0), as
+    one graph node whose value is [a_T, c_T] side by side, (batch, 2*hidden).
+
+    With the gates stacked column-wise, W_all = [W_c; W_u; W_f; W_o]^T:
+      pre        = [a_prev, x_t] @ W_all + b_all
+      candidate  c~ = tanh(pre[:, :h]);  gates u, f, o = sigmoid(pre[:, h:])
+      state      c = u * c~ + f * c_prev,  a = o * tanh(c)
+    The backward pass is hand-written backpropagation through time.
+    """
+    h = cell.hidden_size
+    batch, steps, d = seq.shape
+    weights = [cell.params[f"W_{g}"] for g in _GATES]
+    biases = [cell.params[f"b_{g}"] for g in _GATES]
+    w_all = np.concatenate([w.data for w in weights]).T      # (h + d, 4h)
+    b_all = np.concatenate([b.data for b in biases])
+
+    # time-major caches: z[t] = [a_{t-1}, x_t], act[t] = [c~, u, f, o]
+    z = np.empty((steps, batch, h + d))
+    z[:, :, h:] = seq.data.transpose(1, 0, 2)
+    pre = np.empty((steps, batch, 4 * h))
+    act = np.empty((steps, batch, 4 * h))
+    cs = np.empty((steps + 1, batch, h))                      # c_0 .. c_T
+    tanh_c = np.empty((steps, batch, h))
+    cs[0] = c0.data
+    a = a0.data
+    for t in range(steps):
+        z[t, :, :h] = a
+        pre[t] = z[t] @ w_all + b_all
+        act[t, :, :h] = np.tanh(pre[t, :, :h])
+        act[t, :, h:] = stable_sigmoid(pre[t, :, h:])
+        cs[t + 1] = act[t, :, h:2 * h] * act[t, :, :h] + act[t, :, 2 * h:3 * h] * cs[t]
+        tanh_c[t] = np.tanh(cs[t + 1])
+        a = act[t, :, 3 * h:] * tanh_c[t]
+    # overflowing products saturate the gates without a NaN; stop here
+    if not np.all(np.isfinite(pre)):
+        raise NonFiniteError("non-finite gate pre-activation in the lstm")
+
+    def backward(g):
+        da, dc = g[:, :h], g[:, h:]
+        gpre = np.empty_like(pre)
+        w_a = w_all[:h].T                                     # (4h, h)
+        for t in reversed(range(steps)):
+            cand, u, f, o = (act[t, :, i * h:(i + 1) * h] for i in range(4))
+            dc = dc + da * o * (1.0 - tanh_c[t] * tanh_c[t])
+            gp = gpre[t]
+            gp[:, :h] = dc * u * (1.0 - cand * cand)
+            gp[:, h:2 * h] = dc * cand
+            gp[:, 2 * h:3 * h] = dc * cs[t]
+            gp[:, 3 * h:] = da * tanh_c[t]
+            gp[:, h:] *= act[t, :, h:] * (1.0 - act[t, :, h:])
+            da = gp @ w_a
+            dc = dc * f
+        flat = gpre.reshape(steps * batch, 4 * h)
+        gw = z.reshape(steps * batch, h + d).T @ flat          # (h + d, 4h)
+        gb = flat.sum(axis=0)
+        for i, (w, bias) in enumerate(zip(weights, biases)):
+            if w.requires_grad:
+                w._accumulate(gw[:, i * h:(i + 1) * h].T)
+            if bias.requires_grad:
+                bias._accumulate(gb[i * h:(i + 1) * h])
+        if seq.requires_grad:
+            seq._accumulate((gpre @ w_all[h:].T).transpose(1, 0, 2))
+        if a0.requires_grad:
+            a0._accumulate(da)
+        if c0.requires_grad:
+            c0._accumulate(dc)
+
+    state = np.concatenate([a, cs[steps]], axis=1)
+    return _node(state, (seq, a0, c0, *weights, *biases), backward)
+
+
 def lstm_step(cell: LstmCell, a_prev, c_prev, x):
-    """One recurrence step.
+    """One recurrence step (the gate math of ``_lstm_sequence`` with T=1).
 
     Accepts (hidden,) / (input,) vectors or (batch, hidden) / (batch, input)
     blocks; returns (a, c) with matching arrangement.
-      candidate  c~ = tanh(W_c [a_prev, x] + b_c)
-      gates      u, f, o = sigmoid(W_g [a_prev, x] + b_g)
-      state      c = u * c~ + f * c_prev,  a = o * tanh(c)
     """
     a_prev, c_prev, x = as_tensor(a_prev), as_tensor(c_prev), as_tensor(x)
     for t, label in ((a_prev, "a_prev"), (c_prev, "c_prev"), (x, "x")):
@@ -247,18 +344,8 @@ def lstm_step(cell: LstmCell, a_prev, c_prev, x):
     if x.shape[1] != d or a_prev.shape[1] != h or c_prev.shape[1] != h:
         raise DataError(f"lstm_step dims: x {x.shape}, a_prev {a_prev.shape}, "
                         f"c_prev {c_prev.shape} vs hidden={h}, input={d}")
-    z = concat([a_prev, x], axis=1)
-    p = cell.params
-
-    def gate(which, fn):
-        return fn(matmul(z, transpose_2d(p[f"W_{which}"])) + p[f"b_{which}"])
-
-    c_tilde = gate("c", tanh)
-    g_u = gate("u", sigmoid)
-    g_f = gate("f", sigmoid)
-    g_o = gate("o", sigmoid)
-    c = g_u * c_tilde + g_f * c_prev
-    a = g_o * tanh(c)
+    state = _lstm_sequence(cell, x.reshape(x.shape[0], 1, d), a_prev, c_prev)
+    a, c = state[:, :h], state[:, h:]
     if single:
         a, c = a.reshape(h), c.reshape(h)
     return a, c
@@ -277,25 +364,26 @@ def lstm_many_to_one(cell: LstmCell, sequence) -> Tensor:
     """
     if isinstance(sequence, Tensor) or isinstance(sequence, np.ndarray):
         seq = as_tensor(sequence)
-        if seq.ndim == 2:
-            steps = [seq[t] for t in range(seq.shape[0])]
-        elif seq.ndim == 3:
-            steps = [seq[:, t] for t in range(seq.shape[1])]
-        else:
+        if seq.ndim not in (2, 3):
             raise DataError(f"sequence must be (T, input) or (batch, T, input), got {seq.shape}")
     else:
         steps = [as_tensor(s) for s in sequence]
-    if not steps:
+        if not steps:
+            raise DataError("empty sequence")
+        # stack on the step axis: (input,) steps give (T, input)
+        seq = concat([s.reshape(*s.shape[:-1], 1, s.shape[-1]) for s in steps], axis=-2)
+    single = seq.ndim == 2
+    if single:
+        seq = seq.reshape(1, *seq.shape)
+    check_finite(seq, "lstm_many_to_one")
+    if seq.shape[1] == 0:
         raise DataError("empty sequence")
-    single = steps[0].ndim == 1
-    batch = 1 if single else steps[0].shape[0]
-    a = Tensor(np.zeros((batch, cell.hidden_size)))
-    c = Tensor(np.zeros((batch, cell.hidden_size)))
-    for s in steps:
-        if single:
-            s = s.reshape(1, -1)
-        a, c = lstm_step(cell, a, c, s)
-    return a.reshape(cell.hidden_size) if single else a
+    if seq.shape[2] != cell.input_size:
+        raise DataError(f"lstm expects {cell.input_size} inputs per step, got {seq.shape}")
+    h = cell.hidden_size
+    zeros = Tensor(np.zeros((seq.shape[0], h)))
+    a = _lstm_sequence(cell, seq, zeros, zeros)[:, :h]
+    return a.reshape(h) if single else a
 
 
 class Dense:

@@ -66,15 +66,17 @@ def train_epoch(opt: Adam, n: int, batch_size: int, rng: np.random.Generator,
     mini-batch of indices, ``batch_loss(idx)`` builds the loss, then
     backward and one optimizer step.  Returns the instance-weighted mean
     loss.  A non-finite loss, or NaN/Inf reaching a layer, raises
-    TrainingDiverged."""
+    TrainingDiverged; the overflow leading up to it emits no numpy warning."""
     order = rng.permutation(n)
     total = 0.0
     for start in range(0, n, batch_size):
         idx = order[start:start + batch_size]
         opt.zero_grad()
         try:
-            loss = batch_loss(idx)
-            loss.backward()
+            # overflow is reported as TrainingDiverged, not as numpy warnings
+            with np.errstate(over="ignore", invalid="ignore"):
+                loss = batch_loss(idx)
+                loss.backward()
         except NonFiniteError as exc:
             raise TrainingDiverged(f"numeric blow-up in epoch {epoch}: {exc}") from exc
         value = float(loss.data)

@@ -11,9 +11,26 @@ so biases and scalar constants mix freely with batched activations.
 """
 from __future__ import annotations
 
+from contextlib import contextmanager
+
 import numpy as np
 
 from ..errors import DataError
+
+# False inside ``no_grad()``: ops then return plain values with no parents.
+_grad_enabled = True
+
+
+@contextmanager
+def no_grad():
+    """Inference scope: ops record no graph, so forward activations are
+    freed as soon as the next op has consumed them.  Values are unchanged."""
+    global _grad_enabled
+    previous, _grad_enabled = _grad_enabled, False
+    try:
+        yield
+    finally:
+        _grad_enabled = previous
 
 
 class Tensor:
@@ -45,8 +62,11 @@ class Tensor:
 
     def _accumulate(self, g) -> None:
         if self.grad is None:
-            self.grad = np.zeros_like(self.data)
-        self.grad += g
+            # g + 0.0, broadcast into a fresh array: -0.0 becomes +0.0
+            # exactly as zeros + g would
+            self.grad = np.add(g, 0.0, out=np.empty(self.data.shape))
+        else:
+            self.grad += g
 
     def backward(self, grad=None) -> None:
         """Accumulate d(self)/d(parameter) into every reachable ``grad``."""
@@ -140,7 +160,7 @@ def parameter(data, name: str = "") -> Tensor:
 
 def _node(data, parents, backward) -> Tensor:
     out = Tensor(data)
-    if any(p.requires_grad for p in parents):
+    if _grad_enabled and any(p.requires_grad for p in parents):
         out.requires_grad = True
         out._parents = tuple(parents)
         out._backward = backward
@@ -253,12 +273,8 @@ def tanh(a) -> Tensor:
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function on a float64 array; exp only ever sees -|z|, so
     large magnitudes cannot overflow."""
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
 
 
 def sigmoid(a) -> Tensor:
@@ -309,11 +325,7 @@ def sum_(a, axis=None, keepdims: bool = False) -> Tensor:
     out_data = a.data.sum(axis=axis, keepdims=keepdims)
 
     def backward(g):
-        if axis is None:
-            a._accumulate(np.broadcast_to(g, a.shape).copy() if np.ndim(g) else np.full(a.shape, g))
-        else:
-            gg = g if keepdims else np.expand_dims(g, axis)
-            a._accumulate(np.broadcast_to(gg, a.shape))
+        a._accumulate(g if axis is None or keepdims else np.expand_dims(g, axis))
 
     return _node(out_data, (a,), backward)
 

@@ -15,6 +15,7 @@ statistics or weights sees only the training split.
 """
 from __future__ import annotations
 
+import functools
 import hashlib
 import math
 import warnings
@@ -387,6 +388,48 @@ class Manifest:
         return read_json(self.verify(path), path.name)
 
 
+def _file_stamps(root: Path) -> dict:
+    """name -> (inode, mtime, size) of each file in ``root``; an atomic
+    replace gives a new inode, so any rewrite changes the stamp."""
+    stamps = {}
+    if root.is_dir():
+        for path in root.iterdir():
+            if path.is_file():
+                st = path.stat()
+                stamps[path.name] = (st.st_ino, st.st_mtime_ns, st.st_size)
+    return stamps
+
+
+def _remove_unlisted(paths: RunPaths, before: dict) -> None:
+    """Delete the files written since ``before`` that the saved manifest
+    does not list."""
+    try:
+        listed = set(read_json(paths.manifest, "manifest").get("files", {})) \
+            if paths.manifest.exists() else set()
+    except (ArtifactError, OSError):
+        return  # an unreadable manifest cannot say what to keep
+    listed.add(paths.manifest.name)
+    for name, stamp in _file_stamps(paths.root).items():
+        if name not in listed and before.get(name) != stamp:
+            (paths.root / name).unlink(missing_ok=True)
+
+
+def _cleaning_stage(stage):
+    """A stage that fails removes the files it wrote in this call that the
+    saved manifest does not list, then re-raises."""
+    @functools.wraps(stage)
+    def run(config: PipelineConfig):
+        paths = run_paths(config)
+        before = _file_stamps(paths.root)
+        try:
+            return stage(config)
+        except BaseException:
+            _remove_unlisted(paths, before)
+            raise
+    return run
+
+
+@_cleaning_stage
 def stage_ingest(config: PipelineConfig) -> RunPaths:
     """Materialize the canonical candle file for this run."""
     paths = run_paths(config)
@@ -418,6 +461,7 @@ def stage_ingest(config: PipelineConfig) -> RunPaths:
     return paths
 
 
+@_cleaning_stage
 def stage_prepare(config: PipelineConfig) -> RunPaths:
     """Feature generation through autoencoder training, artifacts on disk."""
     paths = run_paths(config)
@@ -531,6 +575,7 @@ def _classifier_for(config: PipelineConfig, ohlcv, price_code, non_price_code, s
                             dropout_rate=config.clf_dropout)
 
 
+@_cleaning_stage
 def stage_train(config: PipelineConfig) -> tuple:
     """Fit the classifier on the training instances; persist the verdict."""
     paths = run_paths(config)
@@ -558,6 +603,7 @@ def stage_train(config: PipelineConfig) -> tuple:
     return paths, report
 
 
+@_cleaning_stage
 def stage_backtest(config: PipelineConfig) -> tuple:
     """Score the held-out tail for every theta in the list."""
     paths = run_paths(config)

@@ -123,6 +123,24 @@ def test_encode_deterministic_inference():
     np.testing.assert_array_equal(encode(model, x), encode(model, x))
 
 
+def test_encode_builds_no_graph():
+    model = build_autoencoder(4, 2, 8, seed=17)
+    train_autoencoder(model, correlated_batch(60, 4, 8, seed=18), epochs=1, seed=19)
+    outputs = []
+    forward = model.encode_forward
+    model.encode_forward = lambda x: outputs.append(forward(x)) or outputs[-1]
+    x = correlated_batch(10, 4, 8, seed=20)
+    codes = encode(model, x)
+    assert outputs[0]._parents == () and not outputs[0].requires_grad
+    # inference values are those of the recording forward pass
+    np.testing.assert_array_equal(codes, forward(x).data)
+    assert forward(x).requires_grad
+    # more instances than one encode pass takes: chunking changes no code
+    x = correlated_batch(600, 4, 8, seed=21)
+    np.testing.assert_allclose(encode(model, x), forward(x).data, rtol=0.0, atol=1e-12)
+    assert len(outputs) == 4
+
+
 def test_early_stop_on_plateau():
     model = build_autoencoder(4, 2, 8, seed=21)
     X = correlated_batch(60, 4, 8, seed=22)

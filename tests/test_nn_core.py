@@ -19,7 +19,8 @@ from candlecast.nn import (Adam, Conv1d, ConvSpec, Dense, LstmCell, Tensor,
                            lstm_step, maxpool1d, mse_loss, parameter,
                            restore_parameters, same_padding, save_checkpoint,
                            sigmoid, softmax, upsample_nearest)
-from candlecast.nn.tensor import concat, relu, tanh
+from candlecast.nn.layers import _maxpool_tiled, _maxpool_windows
+from candlecast.nn.tensor import concat, no_grad, relu, stable_sigmoid, tanh
 
 from conftest import gradcheck
 
@@ -456,3 +457,160 @@ def test_gradcheck_concat_getitem():
     b = parameter(rng.normal(size=(2, 4)))
     build = lambda: (concat([a, b], axis=1)[:, 1:6] ** 2).sum()
     assert gradcheck(build, [a, b]) < 1e-4
+
+# -- lowered kernels against their direct forms -------------------------------
+
+def einsum_conv(x, w, b, spec, g):
+    """Conv output and its three gradients for upstream ``g``, by einsum
+    over gathered windows (the direct formulation the GEMM replaces)."""
+    bs, c, l = x.shape
+    p = spec.padding
+    l_out = conv1d_out_len(spec, l)
+    idx = (np.arange(l_out)[:, None] * spec.stride
+           + np.arange(spec.kernel_size)[None, :] * spec.dilation)
+    windows = np.pad(x, ((0, 0), (0, 0), (p, p)))[:, :, idx]     # (b, c, l_out, k)
+    out = np.einsum("bclk,dck->bdl", windows, w) + b[None, :, None]
+    gw = np.einsum("bclk,bdl->dck", windows, g)
+    gb = g.sum(axis=(0, 2))
+    gx = np.zeros((bs, c, l + 2 * p))
+    for n in range(bs):
+        for i in range(l_out):
+            gx[n][:, idx[i]] += np.einsum("dl,dck->ck", g[n][:, i:i + 1], w)
+    return out, gw, gb, gx[:, :, p:p + l]
+
+
+@pytest.mark.parametrize("shape,spec", [
+    ((64, 16, 24), ConvSpec(16, 13, 3, 1, 1)),   # AE first encoder layer
+    ((64, 5, 8), ConvSpec(5, 8, 3, 1, 1)),       # classifier branch after the 3-pool
+    ((3, 4, 17), ConvSpec(4, 2, 3, 2, 1)),       # stride 2
+    ((3, 4, 17), ConvSpec(4, 2, 3, 1, 2, 2)),    # dilation 2
+    ((3, 4, 17), ConvSpec(4, 2, 4, 1, 0)),       # padding 0
+])
+def test_conv_gemm_matches_einsum(shape, spec):
+    rng = np.random.default_rng(sum(shape))
+    x = parameter(rng.normal(size=shape))
+    w = parameter(rng.normal(size=(spec.out_channels, spec.in_channels, spec.kernel_size)))
+    b = parameter(rng.normal(size=spec.out_channels))
+    out = conv1d_forward(x, spec, w, b)
+    g = rng.normal(size=out.shape)
+    out.backward(g)
+    ref_out, ref_gw, ref_gb, ref_gx = einsum_conv(x.data, w.data, b.data, spec, g)
+    for got, ref in ((out.data, ref_out), (w.grad, ref_gw), (b.grad, ref_gb), (x.grad, ref_gx)):
+        assert got.shape == ref.shape
+        assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
+
+
+def test_tiled_maxpool_equals_window_path():
+    rng = np.random.default_rng(30)
+    for kernel in (2, 3):
+        # small integers make ties within a window common
+        x = parameter(rng.integers(-2, 3, size=(4, 3, 6 * kernel)).astype(float))
+        assert np.any(np.diff(np.sort(x.data.reshape(-1, kernel), axis=1), axis=1) == 0)
+        g = rng.normal(size=(4, 3, 6))
+        results = []
+        for pool in (_maxpool_tiled, _maxpool_windows):
+            x.grad = None
+            out = pool(x, kernel) if pool is _maxpool_tiled else pool(x, kernel, kernel)
+            out.backward(g)
+            results.append((out.data, x.grad))
+        np.testing.assert_array_equal(results[0][0], results[1][0])
+        np.testing.assert_array_equal(results[0][1], results[1][1])
+        np.testing.assert_array_equal(maxpool1d(x, kernel).data, results[0][0])
+
+
+def composed_lstm(cell, seq, a, c):
+    """The recurrence built from per-gate graph ops, one step at a time."""
+    p = cell.params
+    for t in range(seq.shape[1]):
+        z = concat([a, seq[:, t]], axis=1)
+
+        def gate(which, fn):
+            return fn(z @ p[f"W_{which}"].transpose(1, 0) + p[f"b_{which}"])
+
+        c = gate("u", sigmoid) * gate("c", tanh) + gate("f", sigmoid) * c
+        a = gate("o", sigmoid) * tanh(c)
+    return a, c
+
+
+def test_fused_lstm_matches_composed_steps():
+    rng = np.random.default_rng(31)
+    cell = LstmCell(24, 20, rng)
+    for p in cell.params.values():
+        p.data += rng.normal(0.0, 0.1, p.shape)       # non-zero biases too
+    seq = parameter(rng.normal(size=(16, 8, 24)))
+    g = rng.normal(size=(16, 20))
+    leaves = [seq, *cell.params.values()]
+    grads = []
+    for run in (lambda: lstm_many_to_one(cell, seq),
+                lambda: composed_lstm(cell, seq, Tensor(np.zeros((16, 20))),
+                                      Tensor(np.zeros((16, 20))))[0]):
+        for t in leaves:
+            t.grad = None
+        out = run()
+        out.backward(g)
+        grads.append((out.data, [t.grad for t in leaves]))
+    (fused, fused_grads), (ref, ref_grads) = grads
+    assert np.max(np.abs(fused - ref)) <= 1e-12
+    for got, want in zip(fused_grads, ref_grads):
+        assert np.max(np.abs(got - want)) <= 1e-10
+
+    # lstm_step runs the same node with given states, gradients included
+    a0, c0 = parameter(rng.normal(size=(3, 20))), parameter(rng.normal(size=(3, 20)))
+    x = seq[:3, 0]
+    a, c = lstm_step(cell, a0, c0, x)
+    (a * 1.5 + c * c).sum().backward()
+    got = (a.data, c.data, a0.grad.copy(), c0.grad.copy())
+    a0.grad = c0.grad = None
+    ra, rc = composed_lstm(cell, x.reshape(3, 1, 24), a0, c0)
+    (ra * 1.5 + rc * rc).sum().backward()
+    for g1, g2 in zip(got, (ra.data, rc.data, a0.grad, c0.grad)):
+        assert np.max(np.abs(g1 - g2)) <= 1e-10
+
+
+def test_fused_lstm_rejects_overflowing_gates():
+    cell = LstmCell(2, 3, np.random.default_rng(32))
+    cell.params["W_u"].data[:] = 1e300
+    # the product overflows to inf and the gates saturate without a NaN
+    with np.errstate(over="ignore"), pytest.raises(NonFiniteError, match="gate pre-activation"):
+        lstm_many_to_one(cell, np.full((4, 2), 1e10))
+
+
+OLD_FORMULA_GRID = np.array([0.0, -0.0, 1e-300, -1e-300, 0.5, -0.5, 36.0, -36.0,
+                             709.0, -709.0, 745.0, -745.0, 746.0, -746.0,
+                             1e308, -1e308, np.inf, -np.inf])
+
+
+def test_stable_sigmoid_bits_match_two_branch_formula():
+    z = np.concatenate([OLD_FORMULA_GRID, np.linspace(-50.0, 50.0, 2001)])
+    old = np.empty_like(z)
+    pos = z >= 0
+    old[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    old[~pos] = ez / (1.0 + ez)
+    assert stable_sigmoid(z).tobytes() == old.tobytes()
+    assert np.isnan(stable_sigmoid(np.array([np.nan]))[0])   # NaN stays NaN
+
+
+def test_accumulate_first_write_bits_match_zeros_plus_grad():
+    for shape, g in (((18,), OLD_FORMULA_GRID), ((2, 18), OLD_FORMULA_GRID),
+                     ((3,), np.float64(-0.0)), ((2, 3), np.array([[-0.0], [1e308]]))):
+        t = parameter(np.ones(shape))
+        t._accumulate(g)
+        old = np.zeros(shape)
+        old += g
+        assert t.grad.tobytes() == old.tobytes()
+        with np.errstate(over="ignore"):       # 1e308 + 1e308 = inf on both sides
+            t._accumulate(g)                   # later writes add in place
+            old += g
+        assert t.grad.tobytes() == old.tobytes()
+
+
+def test_no_grad_records_no_graph():
+    w = parameter(np.ones((2, 3)))
+    with no_grad():
+        out = (Tensor(np.ones((4, 2))) @ w).sum()
+    assert not out.requires_grad and out._parents == () and out._backward is None
+    with pytest.raises(RuntimeError):
+        with no_grad():
+            raise RuntimeError("leaves the scope")
+    assert (Tensor(np.ones((4, 2))) @ w).requires_grad

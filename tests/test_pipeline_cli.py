@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import json
+import warnings
 
 import numpy as np
 import pytest
@@ -251,8 +252,17 @@ def test_cli_exit_codes(tmp_path, capsys):
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_cli_autoencoder_divergence_exits_5(tmp_path, capsys):
     overrides = list(_FAST) + ["ae_learning_rate=1e150", f"out_dir={tmp_path / 'out'}"]
-    assert main(["run-all", *overrides]) == 5
-    assert "training diverged: [prepare:autoencoders]" in capsys.readouterr().err
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        assert main(["run-all", *overrides]) == 5
+    err = capsys.readouterr().err
+    assert "training diverged: [prepare:autoencoders]" in err
+    # the overflow before it surfaces only as that line, not as numpy warnings
+    assert "RuntimeWarning" not in err
+    assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
+    # the failed prepare removed what it wrote; the manifest lists market.csv only
+    root = run_paths(build_config(None, overrides)).root
+    assert sorted(p.name for p in root.iterdir()) == ["manifest.json", "market.csv"]
 
 
 def test_cli_under_fitted_exit(tmp_path, capsys):
