@@ -81,23 +81,24 @@ def _analysis_step(x: np.ndarray, h: np.ndarray, g: np.ndarray):
     if m % 2:
         x = np.concatenate([x, x[-1:]], axis=0)
         m += 1
-    idx = (2 * np.arange(m // 2)[:, None] + np.arange(len(h))[None, :]) % m
-    win = x[idx]  # (m/2, taps, k)
-    a = np.einsum("wtk,t->wk", win, h)
-    d = np.einsum("wtk,t->wk", win, g)
+    # wrap-extend once: tap j of every output is then the slice ext[j:j + m:2]
+    ext = x[np.arange(m + len(h) - 2) % m]
+    taps = [ext[j:j + m:2] for j in range(len(h))]
+    # sum() adds the taps in order from a zero start, as a dot product does
+    a = sum(hj * tap for hj, tap in zip(h, taps))
+    d = sum(gj * tap for gj, tap in zip(g, taps))
     return a, d
 
 
 def _synthesis_step(a: np.ndarray, d: np.ndarray, h: np.ndarray, g: np.ndarray,
                     out_len: int) -> np.ndarray:
     """Adjoint of :func:`_analysis_step`, truncated back to ``out_len``."""
-    half = a.shape[0]
-    m = 2 * half
-    y = np.zeros((m, a.shape[1]))
-    base = 2 * np.arange(half)
-    # rows 2k+j never collide for fixed j, so plain fancy-index adds suffice
+    m, extra = 2 * a.shape[0], len(h) - 2
+    # coefficient i, tap j lands on row 2i+j; rows past m wrap to the start
+    y = np.zeros((m + extra, a.shape[1]))
     for j in range(len(h)):
-        y[(base + j) % m] += a * h[j] + d * g[j]
+        y[j:j + m:2] += a * h[j] + d * g[j]
+    y[:extra] += y[m:]                       # m >= 2 >= extra for haar and db4
     return y[:out_len]
 
 

@@ -138,21 +138,22 @@ def load_csv(path, timeframe: int, symbol: str = "", fill_gaps: bool = False) ->
     """
     rows = []
     try:
-        fh = open(path, newline="")
+        fh = open(path, newline="", encoding="utf-8")
     except OSError as e:
         raise DataError(f"cannot open {path}: {e}") from None
     with fh:
         reader = csv.reader(fh)
         try:
             header = next(reader)
+            if header != CSV_HEADER:
+                raise DataError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
+            for lineno, row in enumerate(reader, start=2):
+                if row:
+                    rows.append(_parse_row(row, lineno))
         except StopIteration:
             raise DataError(f"{path}: empty file") from None
-        if header != CSV_HEADER:
-            raise DataError(f"{path}: bad header {header!r}, expected {CSV_HEADER!r}")
-        for lineno, row in enumerate(reader, start=2):
-            if not row:
-                continue
-            rows.append(_parse_row(row, lineno))
+        except UnicodeDecodeError as e:
+            raise DataError(f"{path}: not UTF-8 text ({e.reason})") from None
     if not rows:
         raise DataError(f"{path}: no data rows")
     rows.sort(key=lambda r: r[0])

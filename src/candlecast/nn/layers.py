@@ -88,10 +88,12 @@ def same_padding(kernel_size: int) -> int:
     return (kernel_size - 1) // 2
 
 
-def _window_index(spec: ConvSpec, l_out: int) -> np.ndarray:
-    # (l_out, k) gather positions into the padded signal
-    return (np.arange(l_out)[:, None] * spec.stride
-            + np.arange(spec.kernel_size)[None, :] * spec.dilation)
+def _taps(spec: ConvSpec, l_out: int) -> list:
+    """One strided slice per tap: tap j of windows 0..l_out-1 sits at
+    j*dilation + i*stride, so no position repeats within a slice."""
+    span = spec.stride * (l_out - 1) + 1
+    return [slice(j * spec.dilation, j * spec.dilation + span, spec.stride)
+            for j in range(spec.kernel_size)]
 
 
 def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
@@ -114,8 +116,12 @@ def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
 
     padded = np.zeros((b, l + 2 * p, c))                      # channels last
     padded[:, p:p + l] = x3.data.transpose(0, 2, 1)
+    taps = _taps(spec, l_out)
     # the one window-sized copy: row (n, i) holds taps 0..k-1 of output i
-    cols = padded[:, _window_index(spec, l_out)].reshape(b * l_out, k * c)
+    cols = np.empty((b, l_out, k, c))
+    for j, tap in enumerate(taps):
+        cols[:, :, j] = padded[:, tap]
+    cols = cols.reshape(b * l_out, k * c)
     w2 = weight.data.transpose(0, 2, 1).reshape(d, k * c)
     out_data = (cols @ w2.T + bias.data).reshape(b, l_out, d).transpose(0, 2, 1)
 
@@ -128,10 +134,8 @@ def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
         if x3.requires_grad:
             gcols = (g2 @ w2).reshape(b, l_out, k, c)
             gx = np.zeros((b, l + 2 * p, c))
-            for j in range(k):
-                # tap j writes a strided, collision-free slice per output row
-                first = j * spec.dilation
-                gx[:, first:first + spec.stride * l_out:spec.stride] += gcols[:, :, j]
+            for j, tap in enumerate(taps):
+                gx[:, tap] += gcols[:, :, j]
             x3._accumulate(gx[:, p:p + l].transpose(0, 2, 1))
 
     out = _node(out_data, (x3, weight, bias), backward)
@@ -170,45 +174,25 @@ def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
     l = x3.shape[2]
     if kernel > l:
         raise DataError(f"pool kernel {kernel} exceeds length {l}")
-    if stride == kernel and l % kernel == 0:
-        out = _maxpool_tiled(x3, kernel)
-    else:
-        out = _maxpool_windows(x3, kernel, stride)
-    return _restore(out, tag)
-
-
-def _maxpool_tiled(x3: Tensor, kernel: int) -> Tensor:
-    """Windows that tile the length exactly: a reshape instead of a gather."""
-    b, c, l = x3.shape
-    tiles = x3.data.reshape(b, c, l // kernel, kernel)
-    arg = tiles.argmax(axis=3)[..., None]                     # first max wins
-    out_data = np.take_along_axis(tiles, arg, axis=3)[..., 0]
-
-    def backward(g):
-        gx = np.zeros(tiles.shape)
-        np.put_along_axis(gx, arg, g[..., None], axis=3)
-        x3._accumulate(gx.reshape(b, c, l))
-
-    return _node(out_data, (x3,), backward)
-
-
-def _maxpool_windows(x3: Tensor, kernel: int, stride: int) -> Tensor:
-    """Any geometry, overlapping or ragged windows included."""
-    b, c, l = x3.shape
     spec = ConvSpec(1, 1, kernel, stride)
-    l_out = conv1d_out_len(spec, l)
-    windows = x3.data[:, :, _window_index(spec, l_out)]      # (b, c, l_out, k)
-    arg = windows.argmax(axis=3)                              # first max wins
-    out_data = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
+    taps = _taps(spec, conv1d_out_len(spec, l))
+    # running maximum over the taps; the strict > keeps the first maximum
+    out_data = x3.data[:, :, taps[0]].copy()
+    arg = np.zeros(out_data.shape, dtype=np.intp)
+    for j in range(1, kernel):
+        xj = x3.data[:, :, taps[j]]
+        larger = xj > out_data
+        np.copyto(out_data, xj, where=larger)
+        np.copyto(arg, j, where=larger)
 
     def backward(g):
-        gx = np.zeros((b, c, l))
-        for j in range(kernel):
-            # tap j of every window: a strided, collision-free slice
-            gx[:, :, j:j + stride * l_out:stride] += np.where(arg == j, g, 0.0)
+        gx = np.zeros(x3.shape)
+        for j, tap in enumerate(taps):
+            gx[:, :, tap] += np.where(arg == j, g, 0.0)
         x3._accumulate(gx)
 
-    return _node(out_data, (x3,), backward)
+    out = _node(out_data, (x3,), backward)
+    return _restore(out, tag)
 
 
 def upsample_nearest(x, factor: int) -> Tensor:

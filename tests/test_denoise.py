@@ -10,7 +10,8 @@ import math
 import numpy as np
 import pytest
 
-from candlecast.denoise import (WaveletConfig, denoise_column, denoise_features,
+from candlecast.denoise import (_FILTERS, WaveletConfig, _analysis_step, _qmf,
+                                _synthesis_step, denoise_column, denoise_features,
                                 dwt_forward, dwt_inverse)
 from candlecast.errors import ConfigError, DataError
 from candlecast.indicators import IndicatorSpec, generate_features
@@ -180,3 +181,45 @@ def test_denoise_features_unknown_column():
     table = generate_features(s, [IndicatorSpec("SMA", {"window": 7})])
     with pytest.raises(DataError, match="unknown columns"):
         denoise_features(table, WaveletConfig("haar", 1, "global"), columns=["zzz"])
+
+
+def einsum_analysis_step(x, h, g):
+    """Reference level: gather (m/2, taps, k) windows by a modular index."""
+    m = x.shape[0]
+    if m % 2:
+        x = np.concatenate([x, x[-1:]], axis=0)
+        m += 1
+    idx = (2 * np.arange(m // 2)[:, None] + np.arange(len(h))[None, :]) % m
+    win = x[idx]
+    return np.einsum("wtk,t->wk", win, h), np.einsum("wtk,t->wk", win, g)
+
+
+def einsum_synthesis_step(a, d, h, g, out_len):
+    """Reference adjoint: modular fancy-index adds, one tap at a time."""
+    m = 2 * a.shape[0]
+    y = np.zeros((m, a.shape[1]))
+    base = 2 * np.arange(a.shape[0])
+    for j in range(len(h)):
+        y[(base + j) % m] += a * h[j] + d * g[j]
+    return y[:out_len]
+
+
+@pytest.mark.parametrize("family", ["haar", "db4"])
+def test_wavelet_steps_bit_equal_einsum_reference(family):
+    h = _FILTERS[family]
+    g = _qmf(h)
+    rng = np.random.default_rng(7)
+    for m in range(1, 11):                      # odd, and shorter than db4's taps
+        for k in (1, 3):
+            x = rng.normal(size=(m, k))
+            x[::2, -1] = -0.0                   # sums of signed zeros are +0.0
+            got, ref = _analysis_step(x, h, g), einsum_analysis_step(x, h, g)
+            for a, b in zip(got, ref):
+                np.testing.assert_array_equal(a.view(np.int64), b.view(np.int64))
+            half = (m + 1) // 2
+            a, d = rng.normal(size=(2, half, k))
+            d[::2, -1] = -0.0
+            a[::2, -1] = -0.0
+            np.testing.assert_array_equal(
+                _synthesis_step(a, d, h, g, m).view(np.int64),
+                einsum_synthesis_step(a, d, h, g, m).view(np.int64))

@@ -19,7 +19,6 @@ from candlecast.nn import (Adam, Conv1d, ConvSpec, Dense, LstmCell, Tensor,
                            lstm_step, maxpool1d, mse_loss, parameter,
                            restore_parameters, same_padding, save_checkpoint,
                            sigmoid, softmax, upsample_nearest)
-from candlecast.nn.layers import _maxpool_tiled, _maxpool_windows
 from candlecast.nn.tensor import concat, no_grad, relu, stable_sigmoid, tanh
 
 from conftest import gradcheck
@@ -485,6 +484,7 @@ def einsum_conv(x, w, b, spec, g):
     ((3, 4, 17), ConvSpec(4, 2, 3, 2, 1)),       # stride 2
     ((3, 4, 17), ConvSpec(4, 2, 3, 1, 2, 2)),    # dilation 2
     ((3, 4, 17), ConvSpec(4, 2, 4, 1, 0)),       # padding 0
+    ((3, 4, 17), ConvSpec(4, 2, 2, 3, 0)),       # gapped: stride > kernel
 ])
 def test_conv_gemm_matches_einsum(shape, spec):
     rng = np.random.default_rng(sum(shape))
@@ -500,22 +500,35 @@ def test_conv_gemm_matches_einsum(shape, spec):
         assert np.max(np.abs(got - ref)) <= 1e-12 * max(1.0, np.max(np.abs(ref)))
 
 
-def test_tiled_maxpool_equals_window_path():
+def window_maxpool(x, kernel, stride, g):
+    """Window-gather reference: the first maximum of each window, and its
+    gradient scattered back one tap at a time."""
+    l_out = (x.shape[2] - kernel) // stride + 1
+    idx = np.arange(l_out)[:, None] * stride + np.arange(kernel)[None, :]
+    windows = x[:, :, idx]                                        # (b, c, l_out, k)
+    arg = windows.argmax(axis=3)
+    out = np.take_along_axis(windows, arg[..., None], axis=3)[..., 0]
+    gx = np.zeros(x.shape)
+    for j in range(kernel):
+        gx[:, :, idx[:, j]] += np.where(arg == j, g, 0.0)
+    return out, gx
+
+
+def test_maxpool_matches_window_gather_oracle():
     rng = np.random.default_rng(30)
-    for kernel in (2, 3):
+    # tiled, ragged, overlapping and gapped windows
+    for kernel, stride, length in ((2, 2, 12), (3, 3, 18), (3, 3, 13),
+                                   (3, 1, 13), (3, 2, 13), (2, 3, 13)):
         # small integers make ties within a window common
-        x = parameter(rng.integers(-2, 3, size=(4, 3, 6 * kernel)).astype(float))
-        assert np.any(np.diff(np.sort(x.data.reshape(-1, kernel), axis=1), axis=1) == 0)
-        g = rng.normal(size=(4, 3, 6))
-        results = []
-        for pool in (_maxpool_tiled, _maxpool_windows):
-            x.grad = None
-            out = pool(x, kernel) if pool is _maxpool_tiled else pool(x, kernel, kernel)
-            out.backward(g)
-            results.append((out.data, x.grad))
-        np.testing.assert_array_equal(results[0][0], results[1][0])
-        np.testing.assert_array_equal(results[0][1], results[1][1])
-        np.testing.assert_array_equal(maxpool1d(x, kernel).data, results[0][0])
+        x = parameter(rng.integers(-2, 3, size=(4, 3, length)).astype(float))
+        out = maxpool1d(x, kernel, stride)
+        g = rng.normal(size=out.shape)
+        out.backward(g)
+        ref_out, ref_gx = window_maxpool(x.data, kernel, stride, g)
+        windows = np.lib.stride_tricks.sliding_window_view(x.data, kernel, axis=2)[:, :, ::stride]
+        assert np.any((windows == ref_out[..., None]).sum(axis=3) > 1)     # ties occur
+        np.testing.assert_array_equal(out.data, ref_out)
+        np.testing.assert_array_equal(x.grad, ref_gx)
 
 
 def composed_lstm(cell, seq, a, c):

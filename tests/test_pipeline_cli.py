@@ -247,6 +247,19 @@ def test_cli_exit_codes(tmp_path, capsys):
     capsys.readouterr()
     assert main(["prepare", *_FAST, "window=15",
                  f"out_dir={tmp_path / 'z'}"]) in (2, 3)
+    # unreadable inputs: a directory or non-UTF-8 bytes as config, a non-UTF-8 CSV
+    capsys.readouterr()
+    latin1 = tmp_path / "latin1.cfg"
+    latin1.write_bytes(b"seed = 1 # \xe9\n")
+    for config in (tmp_path, latin1):
+        assert main(["run-all", "--config", str(config)]) == 2
+        err = capsys.readouterr().err
+        assert "configuration error" in err and "Error" not in err
+    csv = tmp_path / "latin1.csv"
+    csv.write_bytes(b"timestamp,open,high,low,close,volume\n0,1,1,1,1,\xe9\n")
+    assert main(["ingest", f"data={csv}", f"out_dir={tmp_path / 'w'}"]) == 3
+    err = capsys.readouterr().err
+    assert "data error" in err and "latin1.csv" in err and "Error" not in err
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
