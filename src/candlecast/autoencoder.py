@@ -92,7 +92,7 @@ class AutoencoderModel:
 def build_autoencoder(in_channels: int, code_channels: int, width: int,
                       seed: int | np.random.Generator = 0,
                       name: str = "ae") -> AutoencoderModel:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return AutoencoderModel(in_channels, code_channels, width, rng, name=name)
 
 

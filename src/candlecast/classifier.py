@@ -148,7 +148,7 @@ def build_classifier(ohlcv_channels: int, price_channels: int, non_price_channel
                      window: int, seed: int | np.random.Generator = 0,
                      hidden_size: int = 20, branch_channels: int = 8,
                      dropout_rate: float = 0.3) -> ClassifierModel:
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     return ClassifierModel(ohlcv_channels, price_channels, non_price_channels,
                            window, rng, hidden_size=hidden_size,
                            branch_channels=branch_channels, dropout_rate=dropout_rate)

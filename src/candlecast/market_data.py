@@ -36,14 +36,10 @@ class Candle:
     volume: float
 
     def validate(self) -> None:
-        if not all(math.isfinite(v) for v in (self.open, self.high, self.low, self.close, self.volume)):
-            raise DataError(f"non-finite value in candle at t={self.timestamp}")
-        if min(self.open, self.high, self.low, self.close) <= 0:
-            raise DataError(f"non-positive price in candle at t={self.timestamp}")
-        if self.volume < 0:
-            raise DataError(f"negative volume in candle at t={self.timestamp}")
-        if self.low > min(self.open, self.close) or self.high < max(self.open, self.close):
-            raise DataError(f"high/low do not bracket open/close at t={self.timestamp}")
+        """The series rules on this one candle (CandleSeries validates on
+        construction)."""
+        CandleSeries("", 1, [self.timestamp], [self.open], [self.high], [self.low],
+                     [self.close], [self.volume])
 
 
 class CandleSeries:
@@ -136,6 +132,8 @@ def load_csv(path, timeframe: int, symbol: str = "", fill_gaps: bool = False) ->
     naming the offending line or timestamp.  With ``fill_gaps``, missing
     candles are forward-filled from the previous close with zero volume.
     """
+    if timeframe <= 0:
+        raise DataError(f"timeframe must be positive, got {timeframe}")
     rows = []
     try:
         fh = open(path, newline="", encoding="utf-8")
@@ -175,18 +173,17 @@ def load_csv(path, timeframe: int, symbol: str = "", fill_gaps: bool = False) ->
 
 
 def _fill_gaps(ts, o, h, l, c, v, timeframe):
-    out = ([], [], [], [], [], [])
-    for i in range(len(ts)):
-        if i > 0:
-            t = ts[i - 1] + timeframe
-            while t < ts[i]:
-                prev_close = out[4][-1]
-                for dst, val in zip(out, (t, prev_close, prev_close, prev_close, prev_close, 0.0)):
-                    dst.append(val)
-                t += timeframe
-        for dst, val in zip(out, (ts[i], o[i], h[i], l[i], c[i], v[i])):
-            dst.append(val)
-    return (np.array(out[0], dtype=np.int64),) + tuple(np.array(x, dtype=np.float64) for x in out[1:])
+    """Every candle on the grid ts[0] + k * timeframe up to ts[-1]; a missing
+    one repeats the previous close as all four prices, with zero volume."""
+    bad = np.nonzero((ts - ts[0]) % timeframe)[0]
+    if bad.size:
+        raise DataError(f"gap not a multiple of timeframe before t={int(ts[bad[0]])}")
+    grid = np.arange(ts[0], ts[-1] + 1, timeframe, dtype=np.int64)
+    at = np.searchsorted(ts, grid, side="right") - 1   # latest row at or before
+    real = ts[at] == grid
+    close = c[at]
+    return (grid, *(np.where(real, col[at], close) for col in (o, h, l)), close,
+            np.where(real, v[at], 0.0))
 
 
 def save_csv(series: CandleSeries, path) -> None:

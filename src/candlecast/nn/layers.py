@@ -407,7 +407,5 @@ def dropout(x, rate: float, rng: np.random.Generator | int, training: bool = Tru
     x = check_finite(as_tensor(x), "dropout")
     if not training or rate == 0.0:
         return x * 1.0
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
-    keep = (rng.random(x.shape) >= rate) / (1.0 - rate)
+    keep = (np.random.default_rng(rng).random(x.shape) >= rate) / (1.0 - rate)
     return x * Tensor(keep)

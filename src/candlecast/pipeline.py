@@ -15,7 +15,6 @@ statistics or weights sees only the training split.
 """
 from __future__ import annotations
 
-import functools
 import hashlib
 import math
 import warnings
@@ -30,7 +29,7 @@ from .classifier import build_classifier, predict_batch
 from .dataset import (direction_labels, fit_norm_stats, load_windows,
                       make_windows, normalize, save_windows, split_channels)
 from .denoise import WaveletConfig, denoise_features
-from .errors import ArtifactError, ConfigError, DataError
+from .errors import ArtifactError, CandlecastError, ConfigError, DataError
 from .feature_select import (GbdtConfig, fit_gbdt, save_importance_csv,
                              select_top_k)
 from .framing import read_json, write_json
@@ -182,18 +181,30 @@ class PipelineConfig:
 
     def _validate(self) -> None:
         v = self._values
-        for key in ("timeframe", "window", "stride", "top_k", "synthetic_n"):
-            if v[key] < 1:
+        for key in ("timeframe", "window", "stride", "top_k", "synthetic_period",
+                    "synthetic_base_price", "ae_code_price", "ae_code_non_price",
+                    "ae_epochs", "ae_learning_rate", "ae_batch_size",
+                    "clf_hidden", "clf_branch_channels"):
+            if v[key] <= 0:
                 raise ConfigError(f"{key} must be positive, got {v[key]}")
+        for key in ("synthetic_noise", "seed"):
+            if v[key] < 0:
+                raise ConfigError(f"{key} must not be negative, got {v[key]}")
+        if v["synthetic_n"] < 2:
+            raise ConfigError(f"synthetic_n must be at least 2, got {v['synthetic_n']}")
+        if v["window"] % 6:
+            raise ConfigError(f"window must be even (autoencoder pooling) and divisible "
+                              f"by 3 (classifier pooling), got {v['window']}")
+        windows = v["indicator_windows"]
+        if not windows or min(windows) < 2 or len(set(windows)) != len(windows):
+            raise ConfigError(f"indicator_windows must be distinct and at least 2, "
+                              f"got {_format_value(windows)}")
         if not 0.0 < v["train_fraction"] < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {v['train_fraction']}")
+        if not 0.0 <= v["clf_dropout"] < 1.0:
+            raise ConfigError(f"clf_dropout must be in [0, 1), got {v['clf_dropout']}")
         if not v["theta_list"]:
             raise ConfigError("theta_list needs at least one value")
-        for key in ("ae_code_price", "ae_code_non_price"):
-            if v[key] < 1:
-                raise ConfigError(f"{key} must be positive, got {v[key]}")
-        if v["ae_epochs"] < 1:
-            raise ConfigError(f"ae_epochs must be positive, got {v['ae_epochs']}")
         # sub-configurations enforce their own invariants; building them
         # here surfaces bad values at parse time rather than mid-run
         self.wavelet_config()
@@ -290,12 +301,15 @@ def seed_streams(seed: int) -> dict:
 
 @contextmanager
 def _stage(name: str):
-    from .errors import CandlecastError
+    """Prefix a CandlecastError raised in the block with ``[name]``, unless
+    an inner stage already named it."""
     try:
         yield
     except CandlecastError as exc:
-        message = exc.args[0] if exc.args else str(exc)
-        exc.args = (f"[{name}] {message}",) + exc.args[1:]
+        if getattr(exc, "stage", None) is None:
+            message = exc.args[0] if exc.args else str(exc)
+            exc.args = (f"[{name}] {message}",) + exc.args[1:]
+            exc.stage = name
         raise
 
 
@@ -371,8 +385,9 @@ class Manifest:
         write_json(self.paths.manifest, {"run_id": self.run_id, "config": config.canonical(),
                                          "files": self.files})
 
-    def add(self, path: Path) -> None:
-        self.files[path.name] = _sha256(path)
+    def add(self, *paths: Path) -> None:
+        for path in paths:
+            self.files[path.name] = _sha256(path)
 
     def verify(self, path: Path) -> Path:
         recorded = self.files.get(path.name)
@@ -392,53 +407,40 @@ class Manifest:
         return read_json(self.verify(path), path.name)
 
 
-def _file_stamps(root: Path) -> dict:
-    """name -> (inode, mtime, size) of each file in ``root``; an atomic
-    replace gives a new inode, so any rewrite changes the stamp."""
-    stamps = {}
-    if root.is_dir():
-        for path in root.iterdir():
-            if path.is_file():
-                st = path.stat()
-                stamps[path.name] = (st.st_ino, st.st_mtime_ns, st.st_size)
-    return stamps
-
-
-def _remove_unlisted(paths: RunPaths, before: dict) -> None:
-    """Delete the files written since ``before`` that the saved manifest
-    does not list."""
+def _remove_unlisted(paths: RunPaths, config: PipelineConfig) -> None:
+    """Delete every file in the run directory that its saved manifest does
+    not list; without a readable manifest of this run nothing is removed."""
     try:
-        listed = set(read_json(paths.manifest, "manifest").get("files", {})) \
-            if paths.manifest.exists() else set()
+        listed = set(Manifest.load(paths, config).files)
     except (ArtifactError, OSError):
-        return  # an unreadable manifest cannot say what to keep
+        return
     listed.add(paths.manifest.name)
-    for name, stamp in _file_stamps(paths.root).items():
-        if name not in listed and before.get(name) != stamp:
-            (paths.root / name).unlink(missing_ok=True)
+    for path in paths.root.iterdir():
+        if path.is_file() and path.name not in listed:
+            path.unlink(missing_ok=True)
 
 
-def _cleaning_stage(stage):
-    """A stage that fails removes the files it wrote in this call that the
-    saved manifest does not list, then re-raises."""
-    @functools.wraps(stage)
-    def run(config: PipelineConfig):
-        paths = run_paths(config)
-        before = _file_stamps(paths.root)
-        try:
-            return stage(config)
-        except BaseException:
-            _remove_unlisted(paths, before)
-            raise
-    return run
+@contextmanager
+def _open_run(config: PipelineConfig, name: str, create: bool = False):
+    """One stage's hold on its run directory, yielding (paths, manifest).
+
+    Opens the manifest (``create`` makes the directory, for ingest), runs
+    the block as stage ``name``, saves the manifest when the block
+    completes, and then, completed or failed, removes every file that the
+    saved manifest does not list."""
+    paths = run_paths(config)
+    try:
+        with _stage(name):
+            manifest = (Manifest.create if create else Manifest.load)(paths, config)
+            yield paths, manifest
+            manifest.save(config)
+    finally:
+        _remove_unlisted(paths, config)
 
 
-@_cleaning_stage
 def stage_ingest(config: PipelineConfig) -> RunPaths:
     """Materialize the canonical candle file for this run."""
-    paths = run_paths(config)
-    manifest = Manifest.create(paths, config)
-    with _stage("ingest"):
+    with _open_run(config, "ingest", create=True) as (paths, manifest):
         if config.data == "synthetic":
             child = seed_streams(config.seed)["synthetic"]
             series = sine_market(n=config.synthetic_n, timeframe=config.timeframe,
@@ -461,84 +463,79 @@ def stage_ingest(config: PipelineConfig) -> RunPaths:
         if previous is not None and previous != current:
             # new candles: every other artifact was derived from the old ones
             manifest.files = {paths.market.name: current}
-        manifest.save(config)
     return paths
 
 
-@_cleaning_stage
 def stage_prepare(config: PipelineConfig) -> RunPaths:
     """Feature generation through autoencoder training, artifacts on disk."""
-    paths = run_paths(config)
-    manifest = Manifest.load(paths, config)
-    manifest.verify(paths.market)
-    series = load_csv(paths.market, timeframe=config.timeframe, symbol=config.symbol)
-    streams = seed_streams(config.seed)
+    with _open_run(config, "prepare") as (paths, manifest):
+        manifest.verify(paths.market)
+        series = load_csv(paths.market, timeframe=config.timeframe, symbol=config.symbol)
+        streams = seed_streams(config.seed)
 
-    with _stage("prepare:features"):
-        table = generate_features(series, default_grid(config.indicator_windows))
-        # the table dropped the warm-up prefix; keep closes aligned with it
-        closes = series.close[len(series) - len(table):]
-    with _stage("prepare:denoise"):
-        table = denoise_features(table, config.wavelet_config())
-    with _stage("prepare:select"):
-        rows = len(table)
-        train_rows = int(rows * config.train_fraction)
-        if train_rows < config.window + 2 or train_rows > rows - 1:
-            raise DataError(f"training split of {train_rows} rows (of {rows}) "
-                            "cannot support windowing; adjust train_fraction "
-                            "or supply more candles")
-        labels = direction_labels(closes[:train_rows])
-        gbdt = fit_gbdt(table.values[:train_rows - 1], labels,
-                        config.gbdt_config(), feature_names=table.names)
-        save_importance_csv(paths.importance, gbdt)
-        table = select_top_k(table, gbdt, config.top_k)
-    with _stage("prepare:windows"):
-        ds = make_windows(table, closes, config.window, config.stride)
-        ds.set_train_boundary(train_rows)
-        if ds.n_train < 1 or ds.n_train >= len(ds):
-            raise DataError(f"split leaves {ds.n_train} training instances "
-                            f"of {len(ds)}; adjust train_fraction")
-        ds = normalize(ds, fit_norm_stats(ds))
-        save_windows(ds, paths.dataset)
-    with _stage("prepare:channels"):
-        ohlcv, price, non_price = split_channels(ds)
-    with _stage("prepare:autoencoders"):
-        summary = {}
-        for label, batch, requested, stream in (
-                ("price", price, config.ae_code_price, "ae_price"),
-                ("non_price", non_price, config.ae_code_non_price, "ae_non_price")):
-            channels = batch.shape[1]
-            code = min(requested, channels - 1) if channels > 1 else requested
-            if code != requested:
-                warnings.warn(f"{label} group has {channels} channels; "
-                              f"code size clamped from {requested} to {code}")
-            rng = np.random.default_rng(streams[stream])
-            model = build_autoencoder(channels, code, config.window,
-                                      seed=rng, name=f"ae_{label}")
-            train_autoencoder(model, batch[:ds.n_train],
-                              epochs=config.ae_epochs,
-                              lr=config.ae_learning_rate,
-                              batch_size=config.ae_batch_size, seed=rng)
-            target = paths.ae_price if label == "price" else paths.ae_non_price
-            save_checkpoint(model.parameters(), target)
-            summary[label] = {"in_channels": channels, "code_channels": code,
-                              "epochs": len(model.loss_history),
-                              "final_loss": float(model.loss_history[-1])}
-    payload = {
-        "ae": summary,
-        "channels": list(ds.channel_names),
-        "classes": [c.value for c in ds.channel_classes],
-        "groups": {"ohlcv": int(ohlcv.shape[1]), "price": int(price.shape[1]),
-                   "non_price": int(non_price.shape[1])},
-        "instances": len(ds), "n_train": int(ds.n_train),
-        "rows": rows, "train_rows": train_rows,
-        "window": config.window, "stride": config.stride,
-    }
-    write_json(paths.prepare_json, payload)
-    for artifact in (paths.importance, paths.dataset, paths.ae_price,
-                     paths.ae_non_price, paths.prepare_json):
-        manifest.add(artifact)
-    manifest.save(config)
+        with _stage("prepare:features"):
+            table = generate_features(series, default_grid(config.indicator_windows))
+            # the table dropped the warm-up prefix; keep closes aligned with it
+            closes = series.close[len(series) - len(table):]
+        with _stage("prepare:denoise"):
+            table = denoise_features(table, config.wavelet_config())
+        with _stage("prepare:select"):
+            rows = len(table)
+            train_rows = int(rows * config.train_fraction)
+            if train_rows < config.window + 2 or train_rows > rows - 1:
+                raise DataError(f"training split of {train_rows} rows (of {rows}) "
+                                "cannot support windowing; adjust train_fraction "
+                                "or supply more candles")
+            labels = direction_labels(closes[:train_rows])
+            gbdt = fit_gbdt(table.values[:train_rows - 1], labels,
+                            config.gbdt_config(), feature_names=table.names)
+            save_importance_csv(paths.importance, gbdt)
+            table = select_top_k(table, gbdt, config.top_k)
+        with _stage("prepare:windows"):
+            ds = make_windows(table, closes, config.window, config.stride)
+            ds.set_train_boundary(train_rows)
+            if ds.n_train < 1 or ds.n_train >= len(ds):
+                raise DataError(f"split leaves {ds.n_train} training instances "
+                                f"of {len(ds)}; adjust train_fraction")
+            ds = normalize(ds, fit_norm_stats(ds))
+            save_windows(ds, paths.dataset)
+        with _stage("prepare:channels"):
+            ohlcv, price, non_price = split_channels(ds)
+        with _stage("prepare:autoencoders"):
+            summary = {}
+            for label, batch, requested, stream in (
+                    ("price", price, config.ae_code_price, "ae_price"),
+                    ("non_price", non_price, config.ae_code_non_price, "ae_non_price")):
+                channels = batch.shape[1]
+                code = min(requested, channels - 1) if channels > 1 else requested
+                if code != requested:
+                    warnings.warn(f"{label} group has {channels} channels; "
+                                  f"code size clamped from {requested} to {code}")
+                rng = np.random.default_rng(streams[stream])
+                model = build_autoencoder(channels, code, config.window,
+                                          seed=rng, name=f"ae_{label}")
+                train_autoencoder(model, batch[:ds.n_train],
+                                  epochs=config.ae_epochs,
+                                  lr=config.ae_learning_rate,
+                                  batch_size=config.ae_batch_size, seed=rng)
+                target = paths.ae_price if label == "price" else paths.ae_non_price
+                save_checkpoint(model.parameters(), target)
+                summary[label] = {"in_channels": channels, "code_channels": code,
+                                  "epochs": len(model.loss_history),
+                                  "final_loss": float(model.loss_history[-1])}
+        payload = {
+            "ae": summary,
+            "channels": list(ds.channel_names),
+            "classes": [c.value for c in ds.channel_classes],
+            "groups": {"ohlcv": int(ohlcv.shape[1]), "price": int(price.shape[1]),
+                       "non_price": int(non_price.shape[1])},
+            "instances": len(ds), "n_train": int(ds.n_train),
+            "rows": rows, "train_rows": train_rows,
+            "window": config.window, "stride": config.stride,
+        }
+        write_json(paths.prepare_json, payload)
+        manifest.add(paths.importance, paths.dataset, paths.ae_price,
+                     paths.ae_non_price, paths.prepare_json)
     return paths
 
 
@@ -579,12 +576,9 @@ def _classifier_for(config: PipelineConfig, ohlcv, price_code, non_price_code, s
                             dropout_rate=config.clf_dropout)
 
 
-@_cleaning_stage
 def stage_train(config: PipelineConfig) -> tuple:
     """Fit the classifier on the training instances; persist the verdict."""
-    paths = run_paths(config)
-    manifest = Manifest.load(paths, config)
-    with _stage("train"):
+    with _open_run(config, "train") as (paths, manifest):
         ds, info, ohlcv, price_code, non_price_code = \
             _encoded_groups(config, paths, manifest)
         n_train = ds.n_train
@@ -601,18 +595,13 @@ def stage_train(config: PipelineConfig) -> tuple:
                                       "loss_e": report.loss_e, "loss_10": report.loss_10,
                                       "epochs_run": report.epochs_run,
                                       "converged": report.converged, "zeta": config.zeta})
-        for artifact in (paths.classifier, paths.history, paths.train_json):
-            manifest.add(artifact)
-        manifest.save(config)
+        manifest.add(paths.classifier, paths.history, paths.train_json)
     return paths, report
 
 
-@_cleaning_stage
 def stage_backtest(config: PipelineConfig) -> tuple:
     """Score the held-out tail for every theta in the list."""
-    paths = run_paths(config)
-    manifest = Manifest.load(paths, config)
-    with _stage("backtest"):
+    with _open_run(config, "backtest") as (paths, manifest):
         verdict = manifest.verified_json(paths.train_json)
         ds, info, ohlcv, price_code, non_price_code = \
             _encoded_groups(config, paths, manifest)
@@ -656,12 +645,9 @@ def stage_backtest(config: PipelineConfig) -> tuple:
                          "report_csv": paths.report_csv(i).name,
                          "ledger_csv": paths.ledger_csv(i).name})
             reports.append(report)
-            for artifact in (paths.report_json(i), paths.report_csv(i),
-                             paths.ledger_csv(i)):
-                manifest.add(artifact)
+            manifest.add(paths.report_json(i), paths.report_csv(i), paths.ledger_csv(i))
         write_json(paths.backtest_json, {"runs": runs, "verdict": verdict["status"]})
         manifest.add(paths.backtest_json)
-        manifest.save(config)
     return paths, reports
 
 

@@ -14,7 +14,7 @@ round trip costs 2 * fee_rate * margin.
 """
 from __future__ import annotations
 
-from dataclasses import astuple, dataclass, field
+from dataclasses import astuple, dataclass, field, fields
 
 import numpy as np
 
@@ -189,10 +189,7 @@ def run_backtest(sigmas, closes, labels, config: StrategyConfig) -> BacktestRepo
     )
 
 
-_REPORT_FIELDS = ("theta", "fee_rate", "initial_margin", "profit_saving",
-                  "trades", "tp", "fp", "tn", "fn", "accuracy", "precision",
-                  "recall", "f1", "pnl_compounding", "pnl_profit_saving",
-                  "final_compounding", "final_profit_saving")
+_REPORT_FIELDS = tuple(f.name for f in fields(BacktestReport) if f.name != "ledger")
 
 
 def report_to_dict(report: BacktestReport, extra: dict | None = None) -> dict:

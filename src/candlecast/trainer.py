@@ -148,7 +148,7 @@ def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
 
     if seed is None:
         seed = config.seed
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     opt = Adam(model.parameters(), lr=config.learning_rate)
     history: list[tuple[float, float, float]] = []
     losses_10: list[float] = []

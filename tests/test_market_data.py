@@ -107,6 +107,51 @@ def test_gap_forward_fill(tmp_path):
     assert s.volume[3] == 5.0
 
 
+def _fill_gaps_loop(ts, o, h, l, c, v, timeframe):
+    """Reference gap filler: walks the candles and appends each missing
+    candle one at a time."""
+    out = ([], [], [], [], [], [])
+    for i in range(len(ts)):
+        if i > 0:
+            t = ts[i - 1] + timeframe
+            while t < ts[i]:
+                prev_close = out[4][-1]
+                for dst, val in zip(out, (t, prev_close, prev_close, prev_close, prev_close, 0.0)):
+                    dst.append(val)
+                t += timeframe
+        for dst, val in zip(out, (ts[i], o[i], h[i], l[i], c[i], v[i])):
+            dst.append(val)
+    return (np.array(out[0], dtype=np.int64),) + tuple(np.array(x, dtype=np.float64) for x in out[1:])
+
+
+@pytest.mark.parametrize("stamps", [
+    (0, 60, 300, 360, 540, 600),     # gaps of four and two missing candles
+    (0, 60, 150, 240),               # 150 is off the 60-second grid
+    (0, 240, 270),                   # a fill run, then a misaligned candle
+])
+def test_gap_fill_matches_loop_oracle(tmp_path, stamps):
+    base = make_series(len(stamps), seed=5, timeframe=60)
+    cols = [base.open, base.high, base.low, base.close, base.volume]
+    rows = "".join(f"{t}," + ",".join(repr(float(col[i])) for col in cols) + "\n"
+                   for i, t in enumerate(stamps))
+    path = _write(tmp_path / "g.csv", "timestamp,open,high,low,close,volume\n" + rows)
+    ts = np.array(stamps, dtype=np.int64)
+    try:
+        expected = CandleSeries("", 60, *_fill_gaps_loop(ts, *cols, 60))
+    except DataError as exc:
+        with pytest.raises(DataError, match=f"^{exc}$"):
+            load_csv(path, timeframe=60, fill_gaps=True)
+        assert "gap not a multiple of timeframe before t=" in str(exc)
+        return
+    with pytest.raises(DataError, match="timeframe must be positive"):
+        load_csv(path, timeframe=0, fill_gaps=True)
+    got = load_csv(path, timeframe=60, fill_gaps=True)
+    assert len(got) > len(stamps)
+    assert got == expected
+    for name in ("timestamps", "open", "high", "low", "close", "volume"):
+        assert getattr(got, name).tobytes() == getattr(expected, name).tobytes(), name
+
+
 def test_chronological_split_sizes():
     s = make_series(100, seed=3)
     train, test = chronological_split(s, 1 / 3)

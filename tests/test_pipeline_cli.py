@@ -8,7 +8,8 @@ import numpy as np
 import pytest
 
 from candlecast.cli import main
-from candlecast.errors import ArtifactError, ConfigError, DataError
+from candlecast.errors import (ArtifactError, ConfigError, DataError,
+                               TrainingDiverged)
 from candlecast.market_data import save_csv
 from candlecast.pipeline import (DEFAULTS, Manifest, PipelineConfig,
                                  build_config, load_config_file, parse_number,
@@ -24,6 +25,16 @@ _FAST = ("synthetic_n=450", "indicator_windows=7,14", "top_k=26",
          "ae_code_non_price=2", "ae_epochs=3", "ae_batch_size=96",
          "max_epochs=3", "batch_size=96", "theta_list=1/3,1",
          "clf_hidden=6", "clf_branch_channels=3", "seed=11")
+
+
+# each of these once got past parsing and failed at some later stage, or
+# was accepted as is
+_MID_RUN_FAILURES = (("ae_batch_size", 0), ("seed", -1), ("clf_hidden", 0),
+                     ("synthetic_n", 1), ("clf_branch_channels", 0),
+                     ("synthetic_period", 0.0), ("synthetic_base_price", -5.0),
+                     ("synthetic_noise", -0.01), ("window", 10), ("window", 15),
+                     ("ae_learning_rate", 0.0), ("ae_learning_rate", -1e-3),
+                     ("clf_dropout", 1.0), ("clf_dropout", -0.1))
 
 
 def _fast_config(tmp_path, *extra):
@@ -72,6 +83,15 @@ def test_config_validation_spans_subconfigs():
         PipelineConfig({"fee_rate": -0.1})
     with pytest.raises(ConfigError):
         PipelineConfig({"top_k": 0})
+    # values that used to fail only mid-run, or not at all
+    for key, value in _MID_RUN_FAILURES:
+        with pytest.raises(ConfigError, match=key):
+            PipelineConfig({key: value})
+    for windows in ((7, 1), (7, 7), ()):
+        with pytest.raises(ConfigError, match="indicator_windows"):
+            PipelineConfig({"indicator_windows": windows})
+    for window in (6, 12, 24, 36):
+        assert PipelineConfig({"window": window}).window == window
 
 
 def test_canonical_identity():
@@ -201,11 +221,12 @@ def test_stages_demand_their_inputs(tmp_path):
         stage_backtest(config)
 
 
+@pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_stage_errors_carry_the_stage_name(tmp_path):
-    # an odd window passes windowing but cannot feed the autoencoders
-    config = _fast_config(tmp_path / "out", "window=15")
+    # a huge learning rate blows the autoencoder up in its own sub-step
+    config = _fast_config(tmp_path / "out", "ae_learning_rate=1e150")
     stage_ingest(config)
-    with pytest.raises(ConfigError, match=r"\[prepare:autoencoders\]"):
+    with pytest.raises(TrainingDiverged, match=r"^\[prepare:autoencoders\] "):
         stage_prepare(config)
 
 
@@ -245,8 +266,14 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "data error" in capsys.readouterr().err
     assert main(["train", *_FAST, f"out_dir={tmp_path / 'y'}"]) == 3
     capsys.readouterr()
-    assert main(["prepare", *_FAST, "window=15",
-                 f"out_dir={tmp_path / 'z'}"]) in (2, 3)
+    # every bad value is refused at parse time, before any stage runs
+    for key, value in _MID_RUN_FAILURES:
+        assert main(["run-all", *_FAST, f"{key}={value}",
+                     f"out_dir={tmp_path / 'z'}"]) == 2, key
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and key in err, err
+        assert "Error" not in err
+    assert not (tmp_path / "z").exists()
     # unreadable inputs: a directory or non-UTF-8 bytes as config, a non-UTF-8 CSV
     capsys.readouterr()
     latin1 = tmp_path / "latin1.cfg"
@@ -294,6 +321,40 @@ def test_cli_under_fitted_exit(tmp_path, capsys):
         assert code == 0
     # backtesting still works on the persisted model either way
     assert main(["backtest", *overrides]) == 0
+
+
+def test_run_directory_holds_only_listed_files(tmp_path, capsys):
+    csv = tmp_path / "prices.csv"
+    overrides = list(_FAST) + [f"data={csv}", f"out_dir={tmp_path / 'out'}"]
+    config = build_config(None, overrides)
+    paths = run_paths(config)
+
+    def on_disk():
+        return sorted(p.name for p in paths.root.iterdir())
+
+    # an error before prepare's first sub-step carries the stage name
+    assert main(["prepare", *overrides]) == 3
+    assert capsys.readouterr().err.startswith("data error: [prepare] no manifest at ")
+    save_csv(sine_market(n=450, seed=1), csv)
+    assert main(["ingest", *overrides]) == 0
+    assert main(["prepare", *overrides]) == 0
+    # changed candles: the derived artifacts leave the manifest and the disk
+    save_csv(sine_market(n=450, seed=2), csv)
+    assert main(["ingest", *overrides]) == 0
+    assert on_disk() == ["manifest.json", "market.csv"]
+    # a failing prepare removes unlisted files, also ones it did not write
+    (paths.root / "stale.bin").write_bytes(b"left by an older run")
+    paths.market.write_text(paths.market.read_text() + "\n")
+    capsys.readouterr()
+    assert main(["prepare", *overrides]) == 3
+    assert capsys.readouterr().err.startswith("data error: [prepare] refusing market.csv")
+    assert on_disk() == ["manifest.json", "market.csv"]
+    # without a readable manifest of this run nothing is removed
+    (paths.root / "stale.bin").write_bytes(b"kept")
+    for torn in ('{"run_id": "', '{"run_id": "0123456789ab", "files": {}}'):
+        paths.manifest.write_text(torn)
+        assert main(["prepare", *overrides]) == 3
+        assert on_disk() == ["manifest.json", "market.csv", "stale.bin"]
 
 
 def test_torn_manifest_is_an_artifact_error(tmp_path, capsys):
