@@ -7,8 +7,11 @@ Design rules (no look-ahead):
     full window, so a prefix of the input always reproduces a prefix of
     the output bit-for-bit
 
-Column naming: snake_case kind plus parameters, e.g. ``ema_21``,
-``stoch_k_14``, ``macd_12_26_9``, ``bb_upper_20``.
+Each kind is one row of the ``_KINDS`` table: its column prefix, its
+feature class, its parameters with their defaults (and which of them name
+the column), its warm-up and its formula.  Column naming: the prefix plus
+the named parameters, e.g. ``ema_21``, ``stoch_k_14``, ``macd_12_26_9``,
+``bb_upper_20``.
 
 Every column carries a feature class:
   - OHLCV          the five raw columns
@@ -24,9 +27,14 @@ CCI -> 0.  Deterministic, documented, and covered by tests.
 from __future__ import annotations
 
 import enum
+import math
+import numbers
 from dataclasses import dataclass, field
+from functools import partial
+from typing import Callable, NamedTuple
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view as _rolling_view
 
 from .errors import DataError
 from .framing import (header_value, parse_header, read_lines, read_rows, write_lines,
@@ -42,190 +50,209 @@ class FeatureClass(enum.Enum):
     NON_PRICE_LIKE = "non_price_like"
 
 
-KINDS = ("SMA", "EMA", "WMA", "MACD", "RSI", "StochasticK", "StochasticD", "CCI", "ATR",
-         "BollingerUpper", "BollingerLower", "ROC", "WilliamsR", "OBV", "Momentum")
-
-_PRICE_LIKE_KINDS = frozenset({"SMA", "EMA", "WMA", "BollingerUpper", "BollingerLower", "ATR"})
-
-_WINDOWED_KINDS = frozenset(KINDS) - {"MACD", "OBV"}
+def _ratio(num, den, flat):
+    """``num / den``, and ``flat`` where ``den`` is zero (a flat market)."""
+    with np.errstate(invalid="ignore", divide="ignore"):
+        return np.where(den == 0.0, flat, num / den)
 
 
-@dataclass(frozen=True)
-class IndicatorSpec:
-    """One indicator instance: a kind plus its integer parameters."""
-
-    kind: str
-    params: dict = field(default_factory=dict)
-
-    def __post_init__(self):
-        if self.kind not in KINDS:
-            raise DataError(f"unknown indicator kind {self.kind!r}")
-        if self.kind in _WINDOWED_KINDS:
-            w = self.params.get("window")
-            if w is None or int(w) < 2:
-                raise DataError(f"{self.kind} needs window >= 2, got {w!r}")
-        if self.kind == "MACD":
-            fast = int(self.params.get("fast", 12))
-            slow = int(self.params.get("slow", 26))
-            signal = int(self.params.get("signal", 9))
-            if not (2 <= fast < slow):
-                raise DataError(f"MACD needs 2 <= fast < slow, got {fast}/{slow}")
-            if signal < 2:
-                raise DataError(f"MACD signal must be >= 2, got {signal}")
-        if self.kind in ("BollingerUpper", "BollingerLower"):
-            if float(self.params.get("num_std", 2.0)) <= 0:
-                raise DataError("Bollinger num_std must be positive")
-
-    @property
-    def name(self) -> str:
-        p = self.params
-        return {
-            "SMA": lambda: f"sma_{p['window']}",
-            "EMA": lambda: f"ema_{p['window']}",
-            "WMA": lambda: f"wma_{p['window']}",
-            "MACD": lambda: f"macd_{p.get('fast', 12)}_{p.get('slow', 26)}_{p.get('signal', 9)}",
-            "RSI": lambda: f"rsi_{p['window']}",
-            "StochasticK": lambda: f"stoch_k_{p['window']}",
-            "StochasticD": lambda: f"stoch_d_{p['window']}",
-            "CCI": lambda: f"cci_{p['window']}",
-            "ATR": lambda: f"atr_{p['window']}",
-            "BollingerUpper": lambda: f"bb_upper_{p['window']}",
-            "BollingerLower": lambda: f"bb_lower_{p['window']}",
-            "ROC": lambda: f"roc_{p['window']}",
-            "WilliamsR": lambda: f"willr_{p['window']}",
-            "OBV": lambda: "obv",
-            "Momentum": lambda: f"mom_{p['window']}",
-        }[self.kind]()
-
-    @property
-    def feature_class(self) -> FeatureClass:
-        return FeatureClass.PRICE_LIKE if self.kind in _PRICE_LIKE_KINDS else FeatureClass.NON_PRICE_LIKE
-
-    @property
-    def warmup(self) -> int:
-        """Index of the first defined output row."""
-        p = self.params
-        w = int(p.get("window", 0))
-        return {
-            "SMA": w - 1, "EMA": w - 1, "WMA": w - 1,
-            "RSI": w,
-            "StochasticK": w - 1, "StochasticD": w + 1,
-            "CCI": w - 1, "ATR": w - 1,
-            "BollingerUpper": w - 1, "BollingerLower": w - 1,
-            "ROC": w, "Momentum": w,
-            "WilliamsR": w - 1,
-            "OBV": 0,
-            "MACD": int(p.get("slow", 26)) + int(p.get("signal", 9)) - 2,
-        }[self.kind]
-
-    def __str__(self) -> str:
-        return self.name
-
-
-def _rolling_view(x: np.ndarray, w: int) -> np.ndarray:
-    return np.lib.stride_tricks.sliding_window_view(x, w)
-
-
-def _sma(x, w):
-    out = np.full(len(x), np.nan)
-    if len(x) >= w:
-        out[w - 1:] = _rolling_view(x, w).mean(axis=1)
-    return out
-
+# Each formula below returns one value per row from its kind's warm-up row
+# on; compute_indicator puts the NaN warm-up in front.
 
 def _ema(x, w):
     # seeded with the SMA of the first w values, then the standard recursion
-    out = np.full(len(x), np.nan)
+    out = np.empty(len(x) - w + 1)
+    out[0] = x[:w].mean()
+    x = x[w - 1:]
     k = 2.0 / (w + 1.0)
-    out[w - 1] = x[:w].mean()
-    for i in range(w, len(x)):
+    for i in range(1, len(x)):
         out[i] = k * x[i] + (1.0 - k) * out[i - 1]
-    return out
-
-
-def _wma(x, w):
-    out = np.full(len(x), np.nan)
-    weights = np.arange(1, w + 1, dtype=np.float64)
-    out[w - 1:] = _rolling_view(x, w) @ weights / weights.sum()
     return out
 
 
 def _wilder(x, w):
     # Wilder smoothing: seed with the plain mean of the first w values of x,
     # then avg <- (avg*(w-1) + x_t)/w.
-    out = np.full(len(x), np.nan)
-    out[w - 1] = x[:w].mean()
-    for i in range(w, len(x)):
+    out = np.empty(len(x) - w + 1)
+    out[0] = x[:w].mean()
+    x = x[w - 1:]
+    for i in range(1, len(x)):
         out[i] = (out[i - 1] * (w - 1) + x[i]) / w
     return out
 
 
-def _rsi(close, w):
-    out = np.full(len(close), np.nan)
-    delta = np.diff(close)
-    ag = _wilder(np.where(delta > 0, delta, 0.0), w)[w - 1:]
-    al = _wilder(np.where(delta < 0, -delta, 0.0), w)[w - 1:]
+def _high_low(s, w):
+    """Rolling highest high and lowest low over ``w`` rows."""
+    return _rolling_view(s.high, w).max(axis=1), _rolling_view(s.low, w).min(axis=1)
+
+
+def _true_range(s):
+    prev_close = s.close[:-1]
+    return np.concatenate(([s.high[0] - s.low[0]], np.maximum.reduce([
+        s.high[1:] - s.low[1:], np.abs(s.high[1:] - prev_close),
+        np.abs(s.low[1:] - prev_close)])))
+
+
+def _sma(s, window):
+    return _rolling_view(s.close, window).mean(axis=1)
+
+
+def _wma(s, window):
+    weights = np.arange(1, window + 1, dtype=np.float64)
+    return _rolling_view(s.close, window) @ weights / weights.sum()
+
+
+def _macd(s, fast, slow, signal):
+    # histogram: (EMA_fast - EMA_slow) minus its EMA_signal smoothing
+    line = _ema(s.close, fast)[slow - fast:] - _ema(s.close, slow)
+    return line[signal - 1:] - _ema(line, signal)
+
+
+def _rsi(s, window):
+    delta = np.diff(s.close)
+    ag = _wilder(np.where(delta > 0, delta, 0.0), window)
+    al = _wilder(np.where(delta < 0, -delta, 0.0), window)
     with np.errstate(invalid="ignore", divide="ignore"):
         rsi = 100.0 - 100.0 / (1.0 + ag / al)
-    out[w:] = np.where(al == 0.0, np.where(ag == 0.0, 50.0, 100.0), rsi)
-    return out
+    return np.where(al == 0.0, np.where(ag == 0.0, 50.0, 100.0), rsi)
 
 
-def _stoch_k(series, w):
-    n = len(series)
-    out = np.full(n, np.nan)
-    hh = _rolling_view(series.high, w).max(axis=1)
-    ll = _rolling_view(series.low, w).min(axis=1)
-    rng = hh - ll
-    c = series.close[w - 1:]
-    with np.errstate(invalid="ignore", divide="ignore"):
-        k = 100.0 * (c - ll) / rng
-    out[w - 1:] = np.where(rng == 0.0, 50.0, k)
-    return out
+def _stoch_k(s, window):
+    hh, ll = _high_low(s, window)
+    return _ratio(100.0 * (s.close[window - 1:] - ll), hh - ll, 50.0)
 
 
-def _true_range(series):
-    tr = np.empty(len(series))
-    tr[0] = series.high[0] - series.low[0]
-    prev_close = series.close[:-1]
-    tr[1:] = np.maximum.reduce([
-        series.high[1:] - series.low[1:],
-        np.abs(series.high[1:] - prev_close),
-        np.abs(series.low[1:] - prev_close),
-    ])
-    return tr
+def _stoch_d(s, window):
+    return _rolling_view(_stoch_k(s, window), 3).mean(axis=1)
 
 
-def _cci(series, w):
-    n = len(series)
-    out = np.full(n, np.nan)
-    tp = (series.high + series.low + series.close) / 3.0
-    win = _rolling_view(tp, w)
+def _cci(s, window):
+    tp = (s.high + s.low + s.close) / 3.0
+    win = _rolling_view(tp, window)
     sma = win.mean(axis=1)
     mean_dev = np.abs(win - sma[:, None]).mean(axis=1)
     with np.errstate(invalid="ignore", divide="ignore"):
-        cci = (tp[w - 1:] - sma) / (0.015 * mean_dev)
-    out[w - 1:] = np.where(mean_dev == 0.0, 0.0, cci)
-    return out
+        cci = (tp[window - 1:] - sma) / (0.015 * mean_dev)
+    return np.where(mean_dev == 0.0, 0.0, cci)
 
 
-def _macd(close, fast, slow, signal):
-    # histogram: (EMA_fast - EMA_slow) minus its EMA_signal smoothing
-    n = len(close)
-    out = np.full(n, np.nan)
-    line = _ema(close, fast) - _ema(close, slow)
-    first = slow - 1
-    sig = _ema(line[first:], signal)
-    out[first:] = line[first:] - sig
-    return out
+def _bollinger(s, window, num_std, sign):
+    win = _rolling_view(s.close, window)
+    return win.mean(axis=1) + sign * num_std * win.std(axis=1)
 
 
-def _obv(series):
-    step = np.sign(np.diff(series.close)) * series.volume[1:]
-    out = np.empty(len(series))
-    out[0] = 0.0
-    out[1:] = np.cumsum(step)
-    return out
+def _roc(s, window):
+    c = s.close
+    return 100.0 * (c[window:] - c[:-window]) / c[:-window]
+
+
+def _williams_r(s, window):
+    hh, ll = _high_low(s, window)
+    return _ratio(-100.0 * (hh - s.close[window - 1:]), hh - ll, -50.0)
+
+
+def _obv(s):
+    return np.concatenate(([0.0], np.cumsum(np.sign(np.diff(s.close)) * s.volume[1:])))
+
+
+def _momentum(s, window):
+    return s.close[window:] - s.close[:-window]
+
+
+class _Kind(NamedTuple):
+    """Everything about one indicator kind.  ``warmup`` (the index of the
+    first defined row) and ``compute`` (series -> the values from that row
+    on) take the parameters as keywords."""
+
+    prefix: str           # the column name is the prefix, then the ``named`` values
+    price_like: bool
+    warmup: Callable[..., int]
+    compute: Callable[..., np.ndarray]
+    params: dict = {"window": None}  # parameter -> default; None: required
+    named: tuple = ("window",)
+
+
+_MACD_PARAMS = {"fast": 12, "slow": 26, "signal": 9}
+_BOLLINGER_PARAMS = {"window": None, "num_std": 2.0}
+
+_KINDS = {
+    "SMA": _Kind("sma", True, lambda window: window - 1, _sma),
+    "EMA": _Kind("ema", True, lambda window: window - 1, lambda s, window: _ema(s.close, window)),
+    "WMA": _Kind("wma", True, lambda window: window - 1, _wma),
+    "MACD": _Kind("macd", False, lambda fast, slow, signal: slow + signal - 2, _macd,
+                  _MACD_PARAMS, tuple(_MACD_PARAMS)),
+    "RSI": _Kind("rsi", False, lambda window: window, _rsi),
+    "StochasticK": _Kind("stoch_k", False, lambda window: window - 1, _stoch_k),
+    "StochasticD": _Kind("stoch_d", False, lambda window: window + 1, _stoch_d),
+    "CCI": _Kind("cci", False, lambda window: window - 1, _cci),
+    "ATR": _Kind("atr", True, lambda window: window - 1,
+                 lambda s, window: _wilder(_true_range(s), window)),
+    "BollingerUpper": _Kind("bb_upper", True, lambda window, num_std: window - 1,
+                            partial(_bollinger, sign=1.0), _BOLLINGER_PARAMS),
+    "BollingerLower": _Kind("bb_lower", True, lambda window, num_std: window - 1,
+                            partial(_bollinger, sign=-1.0), _BOLLINGER_PARAMS),
+    "ROC": _Kind("roc", False, lambda window: window, _roc),
+    "WilliamsR": _Kind("willr", False, lambda window: window - 1, _williams_r),
+    "OBV": _Kind("obv", False, lambda: 0, _obv, {}, ()),
+    "Momentum": _Kind("mom", False, lambda window: window, _momentum),
+}
+
+
+def _is_number(value, cls) -> bool:
+    return isinstance(value, cls) and not isinstance(value, bool)
+
+
+@dataclass(frozen=True)
+class IndicatorSpec:
+    """One indicator instance: a kind plus its parameters (``num_std`` a
+    positive number, every other one an integer >= 2)."""
+
+    kind: str
+    params: dict = field(default_factory=dict)
+
+    def __post_init__(self):
+        self._arguments()
+
+    def _arguments(self) -> dict:
+        """The kind's parameters, defaults filled in, validated."""
+        row = _KINDS.get(self.kind)
+        if row is None:
+            raise DataError(f"unknown indicator kind {self.kind!r}")
+        for key in self.params:
+            if key not in row.params:
+                raise DataError(f"{self.kind} takes no parameter {key!r}")
+        args = {**row.params, **self.params}
+        for key, value in args.items():
+            if key == "num_std":
+                if not (_is_number(value, numbers.Real) and 0 < value < math.inf):
+                    raise DataError(f"{self.kind} num_std must be a positive number, "
+                                    f"got {value!r}")
+                args[key] = float(value)
+            elif _is_number(value, numbers.Integral) and value >= 2:
+                args[key] = int(value)
+            else:
+                raise DataError(f"{self.kind} needs an integer {key} >= 2, got {value!r}")
+        if "slow" in args and args["fast"] >= args["slow"]:
+            raise DataError(f"{self.kind} needs fast < slow, got {args['fast']}/{args['slow']}")
+        return args
+
+    @property
+    def name(self) -> str:
+        row, args = _KINDS[self.kind], self._arguments()
+        return "_".join([row.prefix, *(str(args[key]) for key in row.named)])
+
+    @property
+    def feature_class(self) -> FeatureClass:
+        price_like = _KINDS[self.kind].price_like
+        return FeatureClass.PRICE_LIKE if price_like else FeatureClass.NON_PRICE_LIKE
+
+    @property
+    def warmup(self) -> int:
+        """Index of the first defined output row."""
+        return _KINDS[self.kind].warmup(**self._arguments())
+
+    def __str__(self) -> str:
+        return self.name
 
 
 def compute_indicator(spec: IndicatorSpec, series: CandleSeries):
@@ -234,57 +261,12 @@ def compute_indicator(spec: IndicatorSpec, series: CandleSeries):
     Returns ``(name, values, feature_class)`` where ``values`` aligns with the
     series rows and has NaN exactly on the warm-up prefix.
     """
-    n = len(series)
-    if n <= spec.warmup:
-        raise DataError(f"series of length {n} too short for {spec} (warm-up {spec.warmup})")
-    close = series.close
-    p = spec.params
-    w = int(p.get("window", 0))
-    if spec.kind == "SMA":
-        values = _sma(close, w)
-    elif spec.kind == "EMA":
-        values = _ema(close, w)
-    elif spec.kind == "WMA":
-        values = _wma(close, w)
-    elif spec.kind == "MACD":
-        values = _macd(close, int(p.get("fast", 12)), int(p.get("slow", 26)), int(p.get("signal", 9)))
-    elif spec.kind == "RSI":
-        values = _rsi(close, w)
-    elif spec.kind == "StochasticK":
-        values = _stoch_k(series, w)
-    elif spec.kind == "StochasticD":
-        k = _stoch_k(series, w)
-        values = np.full(n, np.nan)
-        values[w + 1:] = _rolling_view(k[w - 1:], 3).mean(axis=1)
-    elif spec.kind == "CCI":
-        values = _cci(series, w)
-    elif spec.kind == "ATR":
-        values = _wilder(_true_range(series), w)
-    elif spec.kind in ("BollingerUpper", "BollingerLower"):
-        num_std = float(p.get("num_std", 2.0))
-        values = np.full(n, np.nan)
-        win = _rolling_view(close, w)
-        sign = 1.0 if spec.kind == "BollingerUpper" else -1.0
-        values[w - 1:] = win.mean(axis=1) + sign * num_std * win.std(axis=1)
-    elif spec.kind == "ROC":
-        values = np.full(n, np.nan)
-        values[w:] = 100.0 * (close[w:] - close[:-w]) / close[:-w]
-    elif spec.kind == "WilliamsR":
-        values = np.full(n, np.nan)
-        hh = _rolling_view(series.high, w).max(axis=1)
-        ll = _rolling_view(series.low, w).min(axis=1)
-        rng = hh - ll
-        with np.errstate(invalid="ignore", divide="ignore"):
-            wr = -100.0 * (hh - close[w - 1:]) / rng
-        values[w - 1:] = np.where(rng == 0.0, -50.0, wr)
-    elif spec.kind == "OBV":
-        values = _obv(series)
-    elif spec.kind == "Momentum":
-        values = np.full(n, np.nan)
-        values[w:] = close[w:] - close[:-w]
-    else:  # pragma: no cover - guarded by __post_init__
-        raise DataError(f"unhandled kind {spec.kind}")
-    assert np.all(np.isnan(values[:spec.warmup])) and not np.any(np.isnan(values[spec.warmup:]))
+    n, first = len(series), spec.warmup
+    if n <= first:
+        raise DataError(f"series of length {n} too short for {spec} (warm-up {first})")
+    values = np.full(n, np.nan)
+    values[first:] = _KINDS[spec.kind].compute(series, **spec._arguments())
+    assert not np.any(np.isnan(values[first:]))
     return spec.name, values, spec.feature_class
 
 

@@ -599,8 +599,16 @@ def stage_train(config: PipelineConfig) -> tuple:
     return paths, report
 
 
+def _refuse_backtest_stride(config: PipelineConfig) -> None:
+    """A backtest trades every held-out candle, so it needs stride 1."""
+    if config.stride != 1:
+        raise ConfigError(f"stride must be 1 to backtest (held-out instances must be "
+                          f"consecutive candles), got {config.stride}")
+
+
 def stage_backtest(config: PipelineConfig) -> tuple:
     """Score the held-out tail for every theta in the list."""
+    _refuse_backtest_stride(config)
     with _open_run(config, "backtest") as (paths, manifest):
         verdict = manifest.verified_json(paths.train_json)
         ds, info, ohlcv, price_code, non_price_code = \
@@ -654,6 +662,7 @@ def stage_backtest(config: PipelineConfig) -> tuple:
 def run_all(config: PipelineConfig) -> tuple:
     """ingest -> prepare -> train -> backtest; returns (paths, train report,
     backtest reports)."""
+    _refuse_backtest_stride(config)
     stage_ingest(config)
     stage_prepare(config)
     _, train_report = stage_train(config)

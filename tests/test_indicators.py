@@ -271,6 +271,66 @@ def test_spec_names_and_classes():
         IndicatorSpec("SMA", {"window": 1})
 
 
+P, N = FeatureClass.PRICE_LIKE, FeatureClass.NON_PRICE_LIKE
+
+# every kind at non-default parameters: (kind, params, name, class, warm-up)
+_KIND_CONTRACT = [
+    ("SMA", {"window": 5}, "sma_5", P, 4),
+    ("EMA", {"window": 6}, "ema_6", P, 5),
+    ("WMA", {"window": 4}, "wma_4", P, 3),
+    ("MACD", {"fast": 5, "slow": 8, "signal": 3}, "macd_5_8_3", N, 9),
+    ("RSI", {"window": 9}, "rsi_9", N, 9),
+    ("StochasticK", {"window": 9}, "stoch_k_9", N, 8),
+    ("StochasticD", {"window": 9}, "stoch_d_9", N, 10),
+    ("CCI", {"window": 11}, "cci_11", N, 10),
+    ("ATR", {"window": 10}, "atr_10", P, 9),
+    ("BollingerUpper", {"window": 7, "num_std": 1.5}, "bb_upper_7", P, 6),
+    ("BollingerLower", {"window": 7, "num_std": 1.5}, "bb_lower_7", P, 6),
+    ("ROC", {"window": 3}, "roc_3", N, 3),
+    ("WilliamsR", {"window": 12}, "willr_12", N, 11),
+    ("OBV", {}, "obv", N, 0),
+    ("Momentum", {"window": 8}, "mom_8", N, 8),
+]
+
+
+@pytest.mark.parametrize("kind, params, name, cls, warmup", _KIND_CONTRACT)
+def test_kind_contract(kind, params, name, cls, warmup):
+    spec = IndicatorSpec(kind, params)
+    assert (spec.name, spec.feature_class, spec.warmup) == (name, cls, warmup)
+    got_name, values, got_cls = compute_indicator(spec, make_series(60, seed=40))
+    assert (got_name, got_cls) == (name, cls)
+    assert np.all(np.isnan(values[:warmup])) and not np.any(np.isnan(values[warmup:]))
+
+
+def test_spec_refuses_undeclared_or_mistyped_parameters():
+    for kind, params in [
+        ("SMA", {"window": 7, "widnow": 9}),   # unknown key
+        ("OBV", {"window": 3}),                # OBV takes no parameter
+        ("MACD", {"window": 14}),
+        ("SMA", {"window": 7.5}),              # non-integers, bools
+        ("SMA", {"window": 7.0}),
+        ("SMA", {"window": "7"}),
+        ("SMA", {"window": True}),
+        ("MACD", {"fast": 12.9}),
+        ("MACD", {"slow": 26.0}),
+        ("MACD", {"signal": np.float64(9)}),
+        ("BollingerUpper", {"window": 20, "num_std": "2"}),  # non-numeric num_std
+        ("BollingerLower", {"window": 20, "num_std": None}),
+        ("BollingerLower", {"window": 20, "num_std": float("nan")}),
+        ("BollingerLower", {"window": 20, "num_std": 0.0}),
+        ("MACD", {"fast": 26, "slow": 12}),
+        ("StochasticD", {}),
+    ]:
+        with pytest.raises(DataError):
+            IndicatorSpec(kind, params)
+    # numpy integers and any real num_std stay accepted
+    assert IndicatorSpec("SMA", {"window": np.int64(7)}).name == "sma_7"
+    assert IndicatorSpec("MACD", {"fast": np.int32(5), "slow": 8}).name == "macd_5_8_9"
+    assert IndicatorSpec("BollingerUpper", {"window": 20, "num_std": 2}).warmup == 19
+    assert IndicatorSpec("BollingerUpper", {"window": np.int16(5),
+                                            "num_std": np.float32(1.5)}).name == "bb_upper_5"
+
+
 def test_default_grid_shape():
     grid = default_grid()
     assert len(grid) == 59

@@ -289,6 +289,25 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "data error" in err and "latin1.csv" in err and "Error" not in err
 
 
+def test_backtest_stride_is_refused_before_any_work(tmp_path, capsys):
+    # run-all refuses stride > 1 before ingest: no run directory at all
+    assert main(["run-all", *_FAST, "stride=2", f"out_dir={tmp_path / 'all'}"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("configuration error: stride must be 1") and "Error" not in err
+    assert not (tmp_path / "all").exists()
+    # prepare and train still take stride > 1; backtest refuses it up front
+    # and leaves the run directory as it was
+    overrides = [*_FAST, "stride=2", f"out_dir={tmp_path / 'out'}"]
+    for command in ("ingest", "prepare", "train"):
+        assert main([command, *overrides]) in (0, 4), command
+    root = run_paths(build_config(None, overrides)).root
+    before = {p.name: p.read_bytes() for p in root.iterdir()}
+    capsys.readouterr()
+    assert main(["backtest", *overrides]) == 2
+    assert capsys.readouterr().err.startswith("configuration error: stride must be 1")
+    assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")
 def test_cli_autoencoder_divergence_exits_5(tmp_path, capsys):
     overrides = list(_FAST) + ["ae_learning_rate=1e150", f"out_dir={tmp_path / 'out'}"]
