@@ -18,12 +18,12 @@ import math
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UntrainedModelError
-from .nn import (Adam, Conv1d, ConvSpec, Tensor, as_tensor, maxpool1d,
-                 mse_loss, relu, upsample_nearest)
-from .nn.layers import drop_height
-from .nn.optim import train_epoch
-from .nn.tensor import no_grad
+from .errors import ConfigError, DataError
+from .nn import (Conv1d, ConvSpec, Tensor, as_tensor, maxpool1d, mse_loss,
+                 relu, upsample_nearest)
+from .nn.layers import as_batch
+from .nn.optim import fit
+from .nn.tensor import infer
 
 
 # instances per encode pass: bounds the transient conv window matrices, so
@@ -109,53 +109,34 @@ def train_autoencoder(model: AutoencoderModel, batches: np.ndarray,
     numeric blow-up (non-finite loss or activations) raises
     TrainingDiverged.
     """
-    X = drop_height(np.asarray(batches, dtype=np.float64), "batch")
-    if X.ndim != 3 or X.shape[0] == 0:
-        raise DataError(f"expected a non-empty (n, channels, width) batch, got {X.shape}")
-    if not np.all(np.isfinite(X)):
-        raise DataError("non-finite values in training batch")
+    X = as_batch(batches, "batch")
     model._check(X[:1])
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
     if epochs == 0:
         return model.loss_history
-    rng = np.random.default_rng(seed)
-    opt = Adam(model.parameters(), lr=lr)
-    n = X.shape[0]
-    history = model.loss_history
 
     def batch_loss(idx):
         xb = Tensor(X[idx])
         return mse_loss(model.reconstruct(xb), xb)
 
-    for epoch in range(1, epochs + 1):
-        history.append(train_epoch(opt, n, batch_size, rng, batch_loss, epoch))
-        if len(history) >= 2 * patience:
-            recent = float(np.mean(history[-patience:]))
-            previous = float(np.mean(history[-2 * patience:-patience]))
-            if previous - recent < improve_tol:
-                break
+    def plateaued(history):
+        return (len(history) >= 2 * patience
+                and float(np.mean(history[-2 * patience:-patience]))
+                - float(np.mean(history[-patience:])) < improve_tol)
+
+    fit(model.parameters(), lr, X.shape[0], batch_size, np.random.default_rng(seed),
+        batch_loss, epochs, model.loss_history, plateaued)
     model.trained = True
-    return history
+    return model.loss_history
 
 
 def encode(model: AutoencoderModel, batch: np.ndarray) -> np.ndarray:
     """Deterministic inference: (n, c, 1, w) or (n, c, w) in, codes out with
     ``code_channels`` channels and the same height/width arrangement.
     Instances are encoded in fixed chunks with no autograd graph."""
-    if not model.trained:
-        raise UntrainedModelError(f"{model.name}: encode before training; "
-                                  "run train_autoencoder first")
-    batch = np.asarray(batch, dtype=np.float64)
-    starts = range(0, max(len(batch), 1), _CHUNK)   # an empty batch is one empty pass
-    with no_grad():
-        return np.concatenate([model.encode_forward(Tensor(batch[s:s + _CHUNK])).data
-                               for s in starts])
+    return infer(model, model.encode_forward, [batch], _CHUNK)
 
 
 def decode(model: AutoencoderModel, codes: np.ndarray) -> np.ndarray:
-    if not model.trained:
-        raise UntrainedModelError(f"{model.name}: decode before training; "
-                                  "run train_autoencoder first")
-    with no_grad():
-        return model.decode_forward(Tensor(codes)).data
+    return infer(model, model.decode_forward, [codes])

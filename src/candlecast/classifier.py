@@ -14,11 +14,11 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ConfigError, DataError, UntrainedModelError
+from .errors import ConfigError, DataError
 from .nn import (Conv1d, ConvSpec, Dense, LstmCell, Tensor, as_tensor, concat,
                  dropout, lstm_many_to_one, maxpool1d, relu, sigmoid)
 from .nn.layers import drop_height
-from .nn.tensor import no_grad
+from .nn.tensor import infer
 
 
 class _Branch:
@@ -128,20 +128,8 @@ def predict_batch(model: ClassifierModel, ohlcv, price_code, non_price_code,
     Chunking bounds memory; a fixed chunk size gives bit-identical output
     run to run (chunk size itself only reorders BLAS accumulation).
     """
-    if not model.trained:
-        raise UntrainedModelError("classifier has not been trained; "
-                                  "run the training loop first")
-    n = np.asarray(ohlcv).shape[0]
-    out = np.empty(n)
-    with no_grad():
-        for start in range(0, n, chunk):
-            sl = slice(start, min(start + chunk, n))
-            out[sl] = forward(model,
-                              np.asarray(ohlcv)[sl],
-                              np.asarray(price_code)[sl],
-                              np.asarray(non_price_code)[sl],
-                              training=False).data
-    return out
+    return infer(model, lambda *groups: forward(model, *groups),
+                 [ohlcv, price_code, non_price_code], chunk)
 
 
 def build_classifier(ohlcv_channels: int, price_channels: int, non_price_channels: int,

@@ -29,8 +29,10 @@ from __future__ import annotations
 import enum
 import math
 import numbers
+from collections.abc import Mapping
 from dataclasses import dataclass, field
 from functools import partial
+from types import MappingProxyType
 from typing import Callable, NamedTuple
 
 import numpy as np
@@ -205,13 +207,18 @@ def _is_number(value, cls) -> bool:
 @dataclass(frozen=True)
 class IndicatorSpec:
     """One indicator instance: a kind plus its parameters (``num_std`` a
-    positive number, every other one an integer >= 2)."""
+    positive number, every other one an integer >= 2).  ``params`` is a
+    read-only copy of the given dict, and equal specs hash equal."""
 
     kind: str
-    params: dict = field(default_factory=dict)
+    params: Mapping = field(default_factory=dict)
 
     def __post_init__(self):
+        object.__setattr__(self, "params", MappingProxyType(dict(self.params)))
         self._arguments()
+
+    def __hash__(self):
+        return hash((self.kind, frozenset(self.params.items())))
 
     def _arguments(self) -> dict:
         """The kind's parameters, defaults filled in, validated."""

@@ -39,6 +39,18 @@ def drop_height(x, label: str):
     return x.reshape(x.shape[0], x.shape[1], x.shape[3])
 
 
+def as_batch(x, label: str) -> np.ndarray:
+    """A training block as a finite, non-empty float64 (N, C, L) array;
+    (N, C, 1, L) blocks lose their unit height axis."""
+    x = drop_height(np.asarray(x, dtype=np.float64), label)
+    if x.ndim != 3 or x.shape[0] == 0:
+        raise DataError(f"{label}: expected a non-empty (batch, channels, width) "
+                        f"block, got {x.shape}")
+    if not np.all(np.isfinite(x)):
+        raise DataError(f"{label}: non-finite values")
+    return x
+
+
 def _to_bcl(x: Tensor):
     """Normalize (C,L), (B,C,L), or (B,C,1,L) to (B,C,L); returns the tensor
     plus a restore tag for the output."""

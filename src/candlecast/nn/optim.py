@@ -1,5 +1,5 @@
 """Adaptive-moment (Adam) parameter updates with bias correction, and the
-mini-batch epoch both trainers run."""
+mini-batch fit loop both networks train with."""
 from __future__ import annotations
 
 import math
@@ -60,28 +60,37 @@ class Adam:
                 self.lr, self.beta1, self.beta2, self.eps)
 
 
-def train_epoch(opt: Adam, n: int, batch_size: int, rng: np.random.Generator,
-                batch_loss, epoch: int) -> float:
-    """One pass over ``n`` instances in a ``rng``-shuffled order: for each
+def fit(params, lr: float, n: int, batch_size: int, rng: np.random.Generator,
+        batch_loss, epochs: int, history: list, stop) -> list:
+    """Mini-batch Adam over ``n`` instances for up to ``epochs`` epochs.
+
+    Each epoch visits the instances in a ``rng``-shuffled order: for each
     mini-batch of indices, ``batch_loss(idx)`` builds the loss, then
-    backward and one optimizer step.  Returns the instance-weighted mean
-    loss.  A non-finite loss, or NaN/Inf reaching a layer, raises
-    TrainingDiverged; the overflow leading up to it emits no numpy warning."""
-    order = rng.permutation(n)
-    total = 0.0
-    for start in range(0, n, batch_size):
-        idx = order[start:start + batch_size]
-        opt.zero_grad()
-        try:
-            # overflow is reported as TrainingDiverged, not as numpy warnings
-            with np.errstate(over="ignore", invalid="ignore"):
-                loss = batch_loss(idx)
-                loss.backward()
-        except NonFiniteError as exc:
-            raise TrainingDiverged(f"numeric blow-up in epoch {epoch}: {exc}") from exc
-        value = float(loss.data)
-        if not math.isfinite(value):
-            raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
-        total += value * idx.shape[0]
-        opt.step()
-    return total / n
+    backward and one optimizer step.  The epoch's instance-weighted mean
+    loss is appended to ``history``, and training stops early once
+    ``stop(history)`` holds.  Returns ``history``.  A non-finite loss, or
+    NaN/Inf reaching a layer, raises TrainingDiverged; the overflow leading
+    up to it emits no numpy warning."""
+    opt = Adam(params, lr=lr)
+    for epoch in range(1, epochs + 1):
+        order = rng.permutation(n)
+        total = 0.0
+        for start in range(0, n, batch_size):
+            idx = order[start:start + batch_size]
+            opt.zero_grad()
+            try:
+                # overflow is reported as TrainingDiverged, not as numpy warnings
+                with np.errstate(over="ignore", invalid="ignore"):
+                    loss = batch_loss(idx)
+                    loss.backward()
+            except NonFiniteError as exc:
+                raise TrainingDiverged(f"numeric blow-up in epoch {epoch}: {exc}") from exc
+            value = float(loss.data)
+            if not math.isfinite(value):
+                raise TrainingDiverged(f"non-finite loss in epoch {epoch}")
+            total += value * idx.shape[0]
+            opt.step()
+        history.append(total / n)
+        if stop(history):
+            break
+    return history

@@ -15,7 +15,7 @@ from contextlib import contextmanager
 
 import numpy as np
 
-from ..errors import DataError
+from ..errors import DataError, UntrainedModelError
 
 # False inside ``no_grad()``: ops then return plain values with no parents.
 _grad_enabled = True
@@ -31,6 +31,23 @@ def no_grad():
         yield
     finally:
         _grad_enabled = previous
+
+
+def infer(model, fn, arrays, chunk: int | None = None) -> np.ndarray:
+    """``fn`` over aligned ``arrays`` in slices of ``chunk`` instances (one
+    pass when None) with no graph, outputs joined on the batch axis.  An
+    empty input is one empty pass.  A model not marked trained raises
+    UntrainedModelError.  The chunk size sets the BLAS summation order, so
+    a fixed one gives bit-identical output run to run."""
+    if not model.trained:
+        raise UntrainedModelError(f"{model.name} has not been trained; "
+                                  "run its training loop first")
+    arrays = [np.asarray(a, dtype=np.float64) for a in arrays]
+    n = len(arrays[0])
+    step = chunk or max(n, 1)
+    with no_grad():
+        return np.concatenate([fn(*(a[s:s + step] for a in arrays)).data
+                               for s in range(0, max(n, 1), step)])
 
 
 class Tensor:

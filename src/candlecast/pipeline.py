@@ -192,6 +192,10 @@ class PipelineConfig:
                 raise ConfigError(f"{key} must not be negative, got {v[key]}")
         if v["synthetic_n"] < 2:
             raise ConfigError(f"synthetic_n must be at least 2, got {v['synthetic_n']}")
+        if not -1.0 < v["synthetic_amplitude"] < 1.0:
+            # at |amplitude| >= 1 the noiseless trend reaches zero or below
+            raise ConfigError(f"synthetic_amplitude must be in (-1, 1), "
+                              f"got {v['synthetic_amplitude']}")
         if v["window"] % 6:
             raise ConfigError(f"window must be even (autoencoder pooling) and divisible "
                               f"by 3 (classifier pooling), got {v['window']}")
@@ -539,32 +543,27 @@ def stage_prepare(config: PipelineConfig) -> RunPaths:
     return paths
 
 
-def _load_prepare(paths: RunPaths, manifest: Manifest):
-    ds = load_windows(manifest.verify(paths.dataset))
-    return ds, manifest.verified_json(paths.prepare_json)
-
-
-def _restore_autoencoders(config: PipelineConfig, paths: RunPaths,
-                          manifest: Manifest, info: dict):
-    models = {}
-    for label, path in (("price", paths.ae_price), ("non_price", paths.ae_non_price)):
-        manifest.verify(path)
-        ae_info = info["ae"][label]
-        model = build_autoencoder(ae_info["in_channels"], ae_info["code_channels"],
-                                  config.window, seed=0, name=f"ae_{label}")
-        restore_parameters(model.parameters(), load_checkpoint(path))
-        model.trained = True
-        models[label] = model
-    return models
+def _restored(model, manifest: Manifest, path: Path):
+    """``model`` with its hash-verified checkpoint loaded, marked trained."""
+    restore_parameters(model.parameters(), load_checkpoint(manifest.verify(path)))
+    model.trained = True
+    return model
 
 
 def _encoded_groups(config: PipelineConfig, paths: RunPaths, manifest: Manifest):
-    ds, info = _load_prepare(paths, manifest)
+    """The prepared windows and their metadata, the raw-candle group, and
+    both channel groups encoded by their stored autoencoders."""
+    ds = load_windows(manifest.verify(paths.dataset))
+    info = manifest.verified_json(paths.prepare_json)
     ohlcv, price, non_price = split_channels(ds)
-    aes = _restore_autoencoders(config, paths, manifest, info)
-    price_code = encode(aes["price"], price)
-    non_price_code = encode(aes["non_price"], non_price)
-    return ds, info, ohlcv, price_code, non_price_code
+    codes = []
+    for label, path, batch in (("price", paths.ae_price, price),
+                               ("non_price", paths.ae_non_price, non_price)):
+        ae = build_autoencoder(info["ae"][label]["in_channels"],
+                               info["ae"][label]["code_channels"],
+                               config.window, seed=0, name=f"ae_{label}")
+        codes.append(encode(_restored(ae, manifest, path), batch))
+    return ds, info, ohlcv, *codes
 
 
 def _classifier_for(config: PipelineConfig, ohlcv, price_code, non_price_code, seed):
@@ -613,10 +612,8 @@ def stage_backtest(config: PipelineConfig) -> tuple:
         verdict = manifest.verified_json(paths.train_json)
         ds, info, ohlcv, price_code, non_price_code = \
             _encoded_groups(config, paths, manifest)
-        manifest.verify(paths.classifier)
-        model = _classifier_for(config, ohlcv, price_code, non_price_code, seed=0)
-        restore_parameters(model.parameters(), load_checkpoint(paths.classifier))
-        model.trained = True
+        model = _restored(_classifier_for(config, ohlcv, price_code, non_price_code,
+                                          seed=0), manifest, paths.classifier)
 
         n_train = ds.n_train
         if n_train >= len(ds):

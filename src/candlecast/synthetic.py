@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from .errors import DataError
 from .market_data import CandleSeries
 
 
@@ -21,7 +22,7 @@ def sine_market(n: int = 4000, timeframe: int = 14400, period: float = 96.0,
     for a fixed seed.
     """
     if n < 2:
-        raise ValueError("need at least 2 candles")
+        raise DataError(f"need at least 2 candles, got {n}")
     rng = np.random.default_rng(seed)
     t = np.arange(n)
     trend = base_price * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))

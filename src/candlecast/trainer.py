@@ -23,9 +23,9 @@ import numpy as np
 from .classifier import ClassifierModel, forward
 from .errors import ConfigError, DataError
 from .framing import read_rows, write_rows
-from .nn import Adam, bce_loss
-from .nn.layers import drop_height
-from .nn.optim import train_epoch
+from .nn import bce_loss
+from .nn.layers import as_batch
+from .nn.optim import fit
 
 _LN10 = math.log(10.0)
 
@@ -110,15 +110,6 @@ class TrainReport:
         return self.status == "well_trained"
 
 
-def _as_batch(x, label: str) -> np.ndarray:
-    x = drop_height(np.asarray(x, dtype=float), label)
-    if x.ndim != 3:
-        raise DataError(f"{label}: expected (batch, channels, width), got {x.shape}")
-    if not np.all(np.isfinite(x)):
-        raise DataError(f"{label}: non-finite values")
-    return x
-
-
 def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
                      labels, config: TrainConfig = TrainConfig(),
                      seed: int | np.random.Generator | None = None) -> TrainReport:
@@ -131,47 +122,39 @@ def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
     numeric blow-up (non-finite loss or activations) raises
     TrainingDiverged.
     """
-    groups = [_as_batch(x, label) for x, label in
-              ((ohlcv, "ohlcv"), (price_code, "price_code"),
-               (non_price_code, "non_price_code"))]
+    names = ("ohlcv", "price_code", "non_price_code")
+    groups = [as_batch(x, label) for x, label in
+              zip((ohlcv, price_code, non_price_code), names)]
     y = np.asarray(labels, dtype=float).reshape(-1)
     n = groups[0].shape[0]
-    for g, label in zip(groups, ("ohlcv", "price_code", "non_price_code")):
+    for g, label in zip(groups, names):
         if g.shape[0] != n:
             raise DataError(f"{label}: batch {g.shape[0]} != {n}")
     if y.shape[0] != n:
         raise DataError(f"labels: {y.shape[0]} rows for {n} instances")
-    if n == 0:
-        raise DataError("cannot train on an empty dataset")
     if not np.isin(y, (0.0, 1.0)).all():
         raise DataError("labels must be 0 or 1")
 
-    if seed is None:
-        seed = config.seed
-    rng = np.random.default_rng(seed)
-    opt = Adam(model.parameters(), lr=config.learning_rate)
-    history: list[tuple[float, float, float]] = []
-    losses_10: list[float] = []
-    converged = False
-    epochs_run = 0
+    rng = np.random.default_rng(config.seed if seed is None else seed)
 
     def batch_loss(idx):
         sigma = forward(model, *(g[idx] for g in groups), training=True, rng=rng)
         return bce_loss(sigma, y[idx])
 
-    for epoch in range(1, config.max_epochs + 1):
-        loss_e = train_epoch(opt, n, config.batch_size, rng, batch_loss, epoch)
-        l10 = loss_base10(loss_e)
-        history.append((loss_e, l10, sigma_star(l10)))
-        losses_10.append(l10)
-        epochs_run = epoch
-        converged = has_converged(losses_10, config.patience, config.slope_threshold)
-        if converged and history[-1][2] >= config.zeta:
-            break
+    def converged(losses):
+        return has_converged([loss_base10(v) for v in losses[-config.patience:]],
+                             config.patience, config.slope_threshold)
+
+    def gated_plateau(losses):
+        return converged(losses) and sigma_star(loss_base10(losses[-1])) >= config.zeta
+
+    losses = fit(model.parameters(), config.learning_rate, n, config.batch_size, rng,
+                 batch_loss, config.max_epochs, [], gated_plateau)
     model.trained = True
+    history = [(e, loss_base10(e), sigma_star(loss_base10(e))) for e in losses]
     loss_e, l10, star = history[-1]
     status = "well_trained" if star >= config.zeta else "under_fitted"
-    return TrainReport(status=status, epochs_run=epochs_run, converged=converged,
+    return TrainReport(status=status, epochs_run=len(losses), converged=converged(losses),
                        loss_e=loss_e, loss_10=l10, sigma_star=star, history=history)
 
 

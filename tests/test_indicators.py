@@ -331,6 +331,21 @@ def test_spec_refuses_undeclared_or_mistyped_parameters():
                                             "num_std": np.float32(1.5)}).name == "bb_upper_5"
 
 
+def test_spec_is_hashable_and_read_only():
+    given = {"window": 7}
+    spec = IndicatorSpec("SMA", given)
+    twin = IndicatorSpec("SMA", {"window": 7})
+    assert spec == twin and hash(spec) == hash(twin)
+    assert len({spec, twin, IndicatorSpec("SMA", {"window": 9}),
+                IndicatorSpec("EMA", {"window": 7})}) == 3
+    assert {spec: "column"}[twin] == "column"
+    with pytest.raises(TypeError):
+        spec.params["window"] = 9
+    given["window"] = 9                # the caller's dict is not the spec's
+    assert spec.params == {"window": 7} and spec.name == "sma_7"
+    assert len(set(default_grid())) == len(default_grid())
+
+
 def test_default_grid_shape():
     grid = default_grid()
     assert len(grid) == 59

@@ -201,3 +201,6 @@ def test_sine_market_is_deterministic_and_valid():
     assert not np.array_equal(a.close, c.close)
     assert len(a) == 500
     a.validate()
+    for n in (1, 0, -3):
+        with pytest.raises(DataError, match="at least 2 candles"):
+            sine_market(n=n)

@@ -7,15 +7,18 @@ import warnings
 import numpy as np
 import pytest
 
+from candlecast import pipeline
+from candlecast.classifier import predict_batch
 from candlecast.cli import main
 from candlecast.errors import (ArtifactError, ConfigError, DataError,
                                TrainingDiverged)
-from candlecast.market_data import save_csv
+from candlecast.market_data import CandleSeries, save_csv
 from candlecast.pipeline import (DEFAULTS, Manifest, PipelineConfig,
                                  build_config, load_config_file, parse_number,
                                  parse_overrides, run_all, run_paths,
                                  seed_streams, stage_backtest, stage_ingest,
                                  stage_prepare, stage_train)
+from candlecast.strategy import read_ledger_csv
 from candlecast.synthetic import sine_market
 
 # small but end-to-end viable settings; windows (7, 14) keep both feature
@@ -34,7 +37,9 @@ _MID_RUN_FAILURES = (("ae_batch_size", 0), ("seed", -1), ("clf_hidden", 0),
                      ("synthetic_period", 0.0), ("synthetic_base_price", -5.0),
                      ("synthetic_noise", -0.01), ("window", 10), ("window", 15),
                      ("ae_learning_rate", 0.0), ("ae_learning_rate", -1e-3),
-                     ("clf_dropout", 1.0), ("clf_dropout", -0.1))
+                     ("clf_dropout", 1.0), ("clf_dropout", -0.1),
+                     ("synthetic_amplitude", 1.0), ("synthetic_amplitude", -1.0),
+                     ("synthetic_amplitude", 2.0))
 
 
 def _fast_config(tmp_path, *extra):
@@ -408,3 +413,79 @@ def test_reingesting_changed_candles_drops_derived_artifacts(tmp_path, capsys):
     before = paths.manifest.read_bytes()
     assert main(["ingest", *overrides]) == 0
     assert paths.manifest.read_bytes() == before
+
+
+# artifacts fitted on the training split only
+_FITTED = ("importance.csv", "prepare.json", "ae_price.ckpt", "ae_non_price.ckpt",
+           "classifier.ckpt", "loss_history.csv", "train.json")
+
+
+def _rewritten_from(series, cut):
+    """``series`` with every candle from index ``cut`` on replaced by a
+    different valid candle at the same timestamp."""
+    close, volume = series.close.copy(), series.volume.copy()
+    close[cut:] *= 1.0 + 0.05 * np.cos(np.arange(len(close) - cut))
+    volume[cut:] *= 1.7
+    open_ = series.open.copy()
+    open_[cut:] = close[cut - 1:-1]
+    high, low = series.high.copy(), series.low.copy()
+    high[cut:] = np.maximum(open_, close)[cut:] * 1.002
+    low[cut:] = np.minimum(open_, close)[cut:] * 0.998
+    return CandleSeries(series.symbol, series.timeframe, series.timestamps,
+                        open_, high, low, close, volume)
+
+
+def _run_on(series, csv, *extra):
+    """run-all on ``series`` written to ``csv``; returns the run's config,
+    its root, the candle index of each held-out window end, and the
+    held-out sigmas recomputed from the stored checkpoints."""
+    save_csv(series, csv)
+    config = build_config(None, _FAST + extra + (f"data={csv}",
+                                                 f"out_dir={csv.parent / csv.stem}"))
+    run_all(config)
+    paths = run_paths(config)
+    manifest = Manifest.load(paths, config)
+    ds, _, ohlcv, price_code, non_price_code = \
+        pipeline._encoded_groups(config, paths, manifest)
+    model = pipeline._restored(pipeline._classifier_for(
+        config, ohlcv, price_code, non_price_code, seed=0), manifest, paths.classifier)
+    k = ds.n_train
+    ends = np.searchsorted(series.timestamps, ds.index[k:])
+    sigmas = predict_batch(model, ohlcv[k:], price_code[k:], non_price_code[k:])
+    return config, paths.root, ends, sigmas
+
+
+def _fitted_differs(a, b):
+    return [name for name in _FITTED
+            if (a / name).read_bytes() != (b / name).read_bytes()]
+
+
+@pytest.mark.filterwarnings("ignore:global wavelet mode")
+def test_run_all_has_no_look_ahead(tmp_path):
+    """Rewriting the held-out candles from a cut c on changes nothing that
+    was fitted, and nothing the backtest decided before c."""
+    series = sine_market(n=450, seed=3)
+    _, base_root, ends, base_sigmas = _run_on(series, tmp_path / "base.csv")
+    first = ends[0]
+    cuts = [first + (len(series) - first) // 3, first + 2 * (len(series) - first) // 3]
+    for cut in cuts:
+        config, root, cut_ends, sigmas = _run_on(_rewritten_from(series, cut),
+                                                 tmp_path / f"cut{cut}.csv")
+        assert _fitted_differs(base_root, root) == [], cut
+        np.testing.assert_array_equal(cut_ends, ends)
+        before = ends < cut
+        np.testing.assert_array_equal(sigmas[before], base_sigmas[before])
+        assert not np.array_equal(sigmas[~before], base_sigmas[~before])
+        compared = 0
+        for i in range(len(config.theta_list)):
+            name = f"ledger_theta{i}.csv"
+            rows = [[r for r in read_ledger_csv(run / name) if ends[r.t] + 1 < cut]
+                    for run in (base_root, root)]
+            assert rows[0] == rows[1], (cut, name)
+            compared += len(rows[0])
+        assert compared > 0
+    # teeth: with the whole series in view, the fitted artifacts move too
+    _, base_root, _, _ = _run_on(series, tmp_path / "gbase.csv", "wavelet_mode=global")
+    _, root, _, _ = _run_on(_rewritten_from(series, cuts[0]), tmp_path / "gcut.csv",
+                            "wavelet_mode=global")
+    assert _fitted_differs(base_root, root)
