@@ -6,7 +6,8 @@ reproducibility rather than speed:
   - logistic loss; per-sample gradient g = p - y, hessian h = p (1 - p)
   - leaf weight -G / (H + lambda) with L2 strength lambda = 1, no
     complexity penalty (gamma = 0)
-  - exact greedy splits over presorted feature columns; split gain
+  - exact greedy splits over each node's rows presorted by every feature,
+    a stable partition of its parent's (XGBoost's column blocks); split gain
     0.5 * (GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l))
   - ties broken deterministically: lowest feature index first, then
     lowest threshold
@@ -99,22 +100,22 @@ class GbdtModel:
         return {n: float(v) for n, v in zip(self.feature_names, self.importance)}
 
 
-def _best_split(X, order, g, h, idx, member, min_leaf, G, H, parent_score):
-    """Scan every feature for the best gain split of the node ``idx``.
+def _best_split(cols, block, g, h, min_leaf, G, H):
+    """Scan every feature of the node's sorted row ``block`` for the best gain.
 
-    Returns (gain, feature, threshold, left_idx, right_idx) or None.
+    ``cols`` is the feature-major (F, n) matrix and row f of the (F, m)
+    ``block`` lists the node's rows sorted by feature f.  Returns
+    (gain, feature, j) or None: rows ``block[feature, :j + 1]`` go left and
+    the threshold is the value of row ``block[feature, j + 1]``.
     """
     best = None
-    m = len(idx)
-    for f in range(X.shape[1]):
-        of = order[:, f]
-        sub = of[member[of]]          # node rows, sorted by feature f
-        vs = X[sub, f]
-        distinct = vs[:-1] < vs[1:]
-        if not distinct.any():
-            continue
-        left_n = np.arange(1, m)
-        valid = distinct & (left_n >= min_leaf) & (m - left_n >= min_leaf)
+    m = block.shape[1]
+    left_n = np.arange(1, m)
+    sizes_ok = (left_n >= min_leaf) & (m - left_n >= min_leaf)
+    parent_score = G ** 2 / (H + _LAMBDA)
+    for f, sub in enumerate(block):
+        vs = cols[f][sub]
+        valid = sizes_ok & (vs[:-1] < vs[1:])
         if not valid.any():
             continue
         GL = np.cumsum(g[sub])[:-1]
@@ -124,10 +125,8 @@ def _best_split(X, order, g, h, idx, member, min_leaf, G, H, parent_score):
         gain = 0.5 * (GL ** 2 / (HL + _LAMBDA) + GR ** 2 / (HR + _LAMBDA) - parent_score)
         gain[~valid] = -np.inf
         j = int(np.argmax(gain))      # first max = lowest threshold
-        if gain[j] <= 0.0:
-            continue
-        if best is None or gain[j] > best[0]:
-            best = (float(gain[j]), f, float(vs[j + 1]), sub[:j + 1].copy(), sub[j + 1:].copy())
+        if gain[j] > 0.0 and (best is None or gain[j] > best[0]):
+            best = (float(gain[j]), f, j)
     return best
 
 
@@ -159,41 +158,40 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, config: GbdtConfig, feature_names=Non
         model.degenerate = True
         return model
 
-    order = np.argsort(X, axis=0, kind="stable")
-    member = np.zeros(n, dtype=bool)
     score = np.zeros(n)
     min_leaf = config.min_samples_leaf
-    eps = 1e-12
 
-    def build(idx, depth, g, h, leaf_buf):
-        G = float(g[idx].sum())
-        H = float(h[idx].sum())
-        if depth < config.max_depth and len(idx) >= 2 * min_leaf:
-            member[:] = False
-            member[idx] = True
-            found = _best_split(X, order, g, h, idx, member, min_leaf,
-                                G, H, G ** 2 / (H + _LAMBDA))
+    def build(block, rows, depth):
+        # ``rows`` lists the node's rows in the order its G and H are summed
+        G = float(g[rows].sum())
+        H = float(h[rows].sum())
+        if depth < config.max_depth and len(rows) >= 2 * min_leaf:
+            found = _best_split(cols, block, g, h, min_leaf, G, H)
             if found is not None:
-                gain, f, thr, left_idx, right_idx = found
+                gain, f, j = found
                 model.importance[f] += gain
-                node = _Node(feature=f, threshold=thr)
-                node.left = build(left_idx, depth + 1, g, h, leaf_buf)
-                node.right = build(right_idx, depth + 1, g, h, leaf_buf)
+                node = _Node(feature=f, threshold=float(cols[f][block[f, j + 1]]))
+                # one mask over the block: a stable partition of every row list
+                go_left = cols[f][block] < node.threshold
+                left = block[go_left].reshape(n_features, -1)
+                right = block[~go_left].reshape(n_features, -1)
+                node.left = build(left, left[f], depth + 1)
+                node.right = build(right, right[f], depth + 1)
                 return node
-        w = -G / (H + _LAMBDA)
-        leaf_buf[idx] = w
-        return _Node(value=w)
+        return _Node(value=-G / (H + _LAMBDA))
 
+    cols = np.ascontiguousarray(X.T)
+    root_block = np.argsort(cols, axis=1, kind="stable")
     all_idx = np.arange(n)
+    out = np.empty(n)
     for _ in range(config.rounds):
         p = stable_sigmoid(score)
         g = p - y
         h = p * (1.0 - p)
-        leaf_buf = np.empty(n)
-        root = build(all_idx, 0, g, h, leaf_buf)
-        model.trees.append(root)
-        score += config.learning_rate * leaf_buf
-        p = np.clip(stable_sigmoid(score), eps, 1.0 - eps)
+        model.trees.append(build(root_block, all_idx, 0))
+        _apply_tree(model.trees[-1], X, out, all_idx)
+        score += config.learning_rate * out
+        p = np.clip(stable_sigmoid(score), 1e-12, 1.0 - 1e-12)
         model.loss_history.append(float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
     return model
 

@@ -413,6 +413,7 @@ def test_criterion_09_backtest_oracle():
     assert full.trades == 300
 
 
+@pytest.mark.slow
 @criterion(10, "end-to-end determinism and sanity", budget=1200.0)
 def test_criterion_10_end_to_end(tmp_path):
     # stock configuration, twice, into different directories

@@ -4,11 +4,15 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from candlecast.dataset import direction_labels
 from candlecast.errors import ConfigError, DataError
 from candlecast.feature_select import (GbdtConfig, fit_gbdt, load_importance_csv,
                                        rank_features, save_importance_csv,
                                        select_top_k)
-from candlecast.indicators import FeatureClass, FeatureTable
+from candlecast.indicators import (FeatureClass, FeatureTable, default_grid,
+                                   generate_features)
+from candlecast.nn.tensor import stable_sigmoid
+from candlecast.synthetic import sine_market
 
 
 def _make_data(n=400, noise=0.25, seed=0):
@@ -178,3 +182,130 @@ def test_importance_csv_round_trip(tmp_path):
     with pytest.raises(DataError):
         (tmp_path / "bad.csv").write_text("nope\n")
         load_importance_csv(tmp_path / "bad.csv")
+
+
+def _reference_fit(X, y, config):
+    """The former tree builder, kept as the oracle: every node filters the
+    full presorted order through a shared membership mask, and each leaf
+    writes its value into a per-round buffer that updates the score.
+
+    Returns (importance, loss history, pre-order (feature, threshold, value)
+    of every node of every tree, final raw score)."""
+    n, n_features = X.shape
+    order = np.argsort(X, axis=0, kind="stable")
+    member = np.zeros(n, dtype=bool)
+    importance = np.zeros(n_features)
+    nodes, losses = [], []
+    min_leaf = config.min_samples_leaf
+
+    def best_split(g, h, idx, G, H, parent_score):
+        best = None
+        m = len(idx)
+        for f in range(n_features):
+            of = order[:, f]
+            sub = of[member[of]]
+            vs = X[sub, f]
+            distinct = vs[:-1] < vs[1:]
+            if not distinct.any():
+                continue
+            left_n = np.arange(1, m)
+            valid = distinct & (left_n >= min_leaf) & (m - left_n >= min_leaf)
+            if not valid.any():
+                continue
+            GL = np.cumsum(g[sub])[:-1]
+            HL = np.cumsum(h[sub])[:-1]
+            GR = G - GL
+            HR = H - HL
+            gain = 0.5 * (GL ** 2 / (HL + 1.0) + GR ** 2 / (HR + 1.0) - parent_score)
+            gain[~valid] = -np.inf
+            j = int(np.argmax(gain))
+            if gain[j] <= 0.0:
+                continue
+            if best is None or gain[j] > best[0]:
+                best = (float(gain[j]), f, float(vs[j + 1]), sub[:j + 1].copy(),
+                        sub[j + 1:].copy())
+        return best
+
+    def build(idx, depth, g, h, leaf_buf):
+        G = float(g[idx].sum())
+        H = float(h[idx].sum())
+        if depth < config.max_depth and len(idx) >= 2 * min_leaf:
+            member[:] = False
+            member[idx] = True
+            found = best_split(g, h, idx, G, H, G ** 2 / (H + 1.0))
+            if found is not None:
+                gain, f, thr, left_idx, right_idx = found
+                importance[f] += gain
+                nodes.append((f, thr, None))
+                build(left_idx, depth + 1, g, h, leaf_buf)
+                build(right_idx, depth + 1, g, h, leaf_buf)
+                return
+        w = -G / (H + 1.0)
+        leaf_buf[idx] = w
+        nodes.append((None, None, w))
+
+    score = np.zeros(n)
+    for _ in range(config.rounds):
+        p = stable_sigmoid(score)
+        leaf_buf = np.empty(n)
+        build(np.arange(n), 0, p - y, p * (1.0 - p), leaf_buf)
+        score += config.learning_rate * leaf_buf
+        p = np.clip(stable_sigmoid(score), 1e-12, 1.0 - 1e-12)
+        losses.append(float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+    return importance, losses, nodes, score
+
+
+def _pre_order(node, out):
+    out.append((node.feature, node.threshold, node.value))
+    if node.value is None:
+        _pre_order(node.left, out)
+        _pre_order(node.right, out)
+    return out
+
+
+def _assert_matches_reference(X, y, config):
+    model = fit_gbdt(X, y, config)
+    importance, losses, nodes, score = _reference_fit(X, y, config)
+    assert model.importance.tobytes() == importance.tobytes()
+    assert model.loss_history == losses
+    assert [t for tree in model.trees for t in _pre_order(tree, [])] == nodes
+    assert model.predict_raw(X).tobytes() == score.tobytes()
+    return model
+
+
+@pytest.mark.parametrize("seed", [1, 7, 201])
+def test_tree_builder_matches_reference_on_default_grid(seed):
+    series = sine_market(seed=seed)
+    table = generate_features(series, default_grid())
+    closes = series.close[len(series) - len(table):]
+    train_rows = int(len(table) * 0.8)
+    # a 3158 x 64 training matrix shaped like the pipeline's; 40 of its 100 rounds
+    _assert_matches_reference(table.values[:train_rows - 1],
+                              direction_labels(closes[:train_rows]), GbdtConfig(rounds=40))
+
+
+def _tied_data(n=300, seed=12):
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, n).astype(float)
+    X = np.empty((n, 6))
+    X[:, 0] = np.round(rng.normal(0.0, 2.0, n))         # integer-rounded
+    X[:, 1] = np.round(y + rng.normal(0.0, 0.6, n), 1)  # informative, tied
+    X[:, 2] = X[:, 1]                                   # duplicated column
+    X[:, 3] = 5.0                                       # constant column
+    X[:, 4] = rng.normal(size=n)                        # all distinct
+    X[:, 5] = rng.integers(0, 3, n)                     # three values only
+    return X, y
+
+
+@pytest.mark.parametrize("config, tree_sizes", [
+    (GbdtConfig(rounds=15), None),
+    (GbdtConfig(rounds=15, max_depth=1), {1, 3}),
+    (GbdtConfig(rounds=15, max_depth=4, min_samples_leaf=5), None),
+    (GbdtConfig(rounds=5, min_samples_leaf=151), {1}),   # 300 rows: the root stays a leaf
+    (GbdtConfig(rounds=5, min_samples_leaf=150), {3}),   # 300 rows = 2 * min_samples_leaf
+], ids=["default", "depth1", "depth4", "root_leaf", "two_min_leaves"])
+def test_tree_builder_matches_reference_on_edge_cases(config, tree_sizes):
+    X, y = _tied_data()
+    model = _assert_matches_reference(X, y, config)
+    if tree_sizes is not None:
+        assert {len(_pre_order(tree, [])) for tree in model.trees} <= tree_sizes

@@ -204,3 +204,12 @@ def test_sine_market_is_deterministic_and_valid():
     for n in (1, 0, -3):
         with pytest.raises(DataError, match="at least 2 candles"):
             sine_market(n=n)
+
+
+def test_sine_market_names_noise_that_breaks_the_price_floor():
+    # a close below the floor that low is clamped to would leave low above
+    # the candle body; the error names the noise and the first such row
+    for noise, row in ((0.5, 26), (5.0, 2)):
+        with pytest.raises(DataError, match=rf"noise {noise} .* at row {row},") as err:
+            sine_market(noise=noise, seed=7)
+        assert "low above" not in str(err.value)

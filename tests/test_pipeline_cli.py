@@ -21,6 +21,8 @@ from candlecast.pipeline import (DEFAULTS, Manifest, PipelineConfig,
 from candlecast.strategy import read_ledger_csv
 from candlecast.synthetic import sine_market
 
+from conftest import make_series
+
 # small but end-to-end viable settings; windows (7, 14) keep both feature
 # classes populated and top_k=26 retains every generated column
 _FAST = ("synthetic_n=450", "indicator_windows=7,14", "top_k=26",
@@ -294,6 +296,15 @@ def test_cli_exit_codes(tmp_path, capsys):
     assert "data error" in err and "latin1.csv" in err and "Error" not in err
 
 
+def test_cli_names_synthetic_noise_that_breaks_the_price_floor(tmp_path, capsys):
+    # no parse-time bound on synthetic_noise is exact: whether a close falls
+    # below the price floor depends on the seed's draws
+    assert main(["ingest", "synthetic_noise=0.5", f"out_dir={tmp_path}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: ") and "noise 0.5" in err, err
+    assert "low above" not in err
+
+
 def test_backtest_stride_is_refused_before_any_work(tmp_path, capsys):
     # run-all refuses stride > 1 before ingest: no run directory at all
     assert main(["run-all", *_FAST, "stride=2", f"out_dir={tmp_path / 'all'}"]) == 2
@@ -461,16 +472,20 @@ def _fitted_differs(a, b):
 
 
 @pytest.mark.filterwarnings("ignore:global wavelet mode")
-def test_run_all_has_no_look_ahead(tmp_path):
+@pytest.mark.parametrize("market, extra", [
+    (lambda: sine_market(n=450, seed=3), ()),
+    (lambda: make_series(450, seed=5), ("timeframe=3600",)),
+], ids=["sine", "random_walk"])
+def test_run_all_has_no_look_ahead(tmp_path, market, extra):
     """Rewriting the held-out candles from a cut c on changes nothing that
     was fitted, and nothing the backtest decided before c."""
-    series = sine_market(n=450, seed=3)
-    _, base_root, ends, base_sigmas = _run_on(series, tmp_path / "base.csv")
+    series = market()
+    _, base_root, ends, base_sigmas = _run_on(series, tmp_path / "base.csv", *extra)
     first = ends[0]
     cuts = [first + (len(series) - first) // 3, first + 2 * (len(series) - first) // 3]
     for cut in cuts:
         config, root, cut_ends, sigmas = _run_on(_rewritten_from(series, cut),
-                                                 tmp_path / f"cut{cut}.csv")
+                                                 tmp_path / f"cut{cut}.csv", *extra)
         assert _fitted_differs(base_root, root) == [], cut
         np.testing.assert_array_equal(cut_ends, ends)
         before = ends < cut
@@ -485,7 +500,8 @@ def test_run_all_has_no_look_ahead(tmp_path):
             compared += len(rows[0])
         assert compared > 0
     # teeth: with the whole series in view, the fitted artifacts move too
-    _, base_root, _, _ = _run_on(series, tmp_path / "gbase.csv", "wavelet_mode=global")
+    _, base_root, _, _ = _run_on(series, tmp_path / "gbase.csv", *extra,
+                                 "wavelet_mode=global")
     _, root, _, _ = _run_on(_rewritten_from(series, cuts[0]), tmp_path / "gcut.csv",
-                            "wavelet_mode=global")
+                            *extra, "wavelet_mode=global")
     assert _fitted_differs(base_root, root)
