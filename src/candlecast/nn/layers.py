@@ -194,13 +194,13 @@ def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
     for j in range(1, kernel):
         xj = x3.data[:, :, taps[j]]
         larger = xj > out_data
-        np.copyto(out_data, xj, where=larger)
-        np.copyto(arg, j, where=larger)
+        out_data = np.where(larger, xj, out_data)
+        arg = np.where(larger, j, arg)
 
     def backward(g):
-        gx = np.zeros(x3.shape)
+        gx = np.zeros(x3.shape)     # a negative g * False is -0.0, and 0.0 + -0.0 is +0.0
         for j, tap in enumerate(taps):
-            gx[:, :, tap] += np.where(arg == j, g, 0.0)
+            gx[:, :, tap] += g * (arg == j)
         x3._accumulate(gx)
 
     out = _node(out_data, (x3,), backward)
@@ -209,16 +209,16 @@ def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
 
 def upsample_nearest(x, factor: int) -> Tensor:
     """Repeat each position ``factor`` times along the last axis; the
-    backward pass sums the gradient over each repeat group."""
+    backward pass sums the gradient over each repeat group, copy by copy in
+    order (numpy's own order below factor 8; it sums 8 or more pairwise)."""
     if factor < 1:
         raise DataError(f"upsample factor must be >= 1, got {factor}")
     x = check_finite(as_tensor(x), "upsample_nearest")
     x3, tag = _to_bcl(x)
-    b, c, l = x3.shape
     out_data = np.repeat(x3.data, factor, axis=2)
 
     def backward(g):
-        x3._accumulate(g.reshape(b, c, l, factor).sum(axis=3))
+        x3._accumulate(sum(g[:, :, j::factor] for j in range(factor)))
 
     out = _node(out_data, (x3,), backward)
     return _restore(out, tag)

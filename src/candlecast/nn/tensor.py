@@ -306,11 +306,10 @@ def sigmoid(a) -> Tensor:
 
 def relu(a) -> Tensor:
     a = as_tensor(a)
-    mask = a.data > 0
-    out_data = np.where(mask, a.data, 0.0)
+    out_data = np.fmax(a.data, 0.0) + 0.0      # NaN, -inf and -0.0 all give +0.0
 
     def backward(g):
-        a._accumulate(g * mask)
+        a._accumulate(g * (a.data > 0))
 
     return _node(out_data, (a,), backward)
 

@@ -378,7 +378,11 @@ class Manifest:
 
     @classmethod
     def create(cls, paths: RunPaths, config: PipelineConfig) -> "Manifest":
-        paths.root.mkdir(parents=True, exist_ok=True)
+        try:
+            paths.root.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            raise ArtifactError(f"cannot create the run directory {paths.root}: "
+                                f"{exc.strerror}") from exc
         if paths.manifest.exists():
             return cls.load(paths, config)
         manifest = cls(paths, config.run_id)

@@ -28,7 +28,15 @@ def sine_market(n: int = 4000, timeframe: int = 14400, period: float = 96.0,
     rng = np.random.default_rng(seed)
     t = np.arange(n)
     trend = base_price * (1.0 + amplitude * np.sin(2.0 * np.pi * t / period))
-    close = trend * (1.0 + noise * rng.standard_normal(n))
+    # a huge noise overflows here; the two checks below refuse the prices
+    with np.errstate(over="ignore", invalid="ignore"):
+        close = trend * (1.0 + noise * rng.standard_normal(n))
+        open_ = np.empty_like(close)
+        open_[0] = close[0]
+        open_[1:] = close[:-1]
+        wick = np.abs(rng.standard_normal(n)) * noise * trend
+        high = np.maximum(open_, close) + wick
+        low = np.minimum(open_, close) - wick
     below = np.flatnonzero(close < _LOW_FLOOR)
     if below.size:
         # a noise draw under -1/noise flips the close's sign; the low clamp
@@ -36,12 +44,12 @@ def sine_market(n: int = 4000, timeframe: int = 14400, period: float = 96.0,
         raise DataError(f"synthetic noise {noise} drives the close to "
                         f"{close[below[0]]:.6g} at row {below[0]}, below the "
                         f"{_LOW_FLOOR:g} price floor")
-    open_ = np.empty_like(close)
-    open_[0] = close[0]
-    open_[1:] = close[:-1]
-    wick = np.abs(rng.standard_normal(n)) * noise * trend
-    high = np.maximum(open_, close) + wick
-    low = np.minimum(open_, close) - wick
+    beyond = np.flatnonzero(~np.isfinite(high))
+    if beyond.size:
+        row = beyond[0]
+        raise DataError(f"synthetic noise {noise} drives the close to "
+                        f"{close[row]:.6g} and the wick to {wick[row]:.6g} at "
+                        f"row {row}, beyond the float range")
     low = np.maximum(low, _LOW_FLOOR)
     volume = np.exp(rng.normal(np.log(1000.0), 0.2, size=n))
     timestamps = np.arange(n, dtype=np.int64) * timeframe

@@ -2,6 +2,7 @@
 from __future__ import annotations
 
 import math
+import warnings
 
 import numpy as np
 import pytest
@@ -213,3 +214,17 @@ def test_sine_market_names_noise_that_breaks_the_price_floor():
         with pytest.raises(DataError, match=rf"noise {noise} .* at row {row},") as err:
             sine_market(noise=noise, seed=7)
         assert "low above" not in str(err.value)
+
+
+def test_sine_market_names_noise_that_overflows_the_prices():
+    # the overflow itself is silent; the refusal names the noise and the row
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        # seed 1: the close overflows to +inf; seed 7: only the wick does
+        for seed, close in ((1, "inf"), (7, "1.23015e[+]306")):
+            with pytest.raises(DataError, match=rf"noise 1e\+307 drives the close to "
+                               rf"{close} and the wick to inf at row 0, beyond"):
+                sine_market(n=2, noise=1e307, seed=seed)
+        # an overflow to -inf falls under the price floor
+        with pytest.raises(DataError, match="close to -inf at row 0, below"):
+            sine_market(n=2, noise=1e307, seed=4)

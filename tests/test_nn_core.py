@@ -514,6 +514,55 @@ def window_maxpool(x, kernel, stride, g):
     return out, gx
 
 
+# The masked-copy, where-select and reshape-sum bodies that relu, maxpool1d
+# and upsample_nearest had before they moved to tap slices: each returns the
+# forward value and the input gradient, the latter after _accumulate's + 0.0.
+
+def where_relu(x, g):
+    mask = x > 0
+    return np.where(mask, x, 0.0), g * mask + 0.0
+
+
+def copyto_maxpool(x, kernel, stride, g):
+    l_out = (x.shape[2] - kernel) // stride + 1
+    taps = [slice(j, j + stride * (l_out - 1) + 1, stride) for j in range(kernel)]
+    out = x[:, :, taps[0]].copy()
+    arg = np.zeros(out.shape, dtype=np.intp)
+    for j in range(1, kernel):
+        xj = x[:, :, taps[j]]
+        larger = xj > out
+        np.copyto(out, xj, where=larger)
+        np.copyto(arg, j, where=larger)
+    gx = np.zeros(x.shape)
+    for j, tap in enumerate(taps):
+        gx[:, :, tap] += np.where(arg == j, g, 0.0)
+    return out, gx + 0.0
+
+
+def reshape_sum_upsample(x, factor, g):
+    b, c, l = x.shape
+    return np.repeat(x, factor, axis=2), g.reshape(b, c, l, factor).sum(axis=3) + 0.0
+
+
+def rounded(rng, shape):
+    """Normals rounded to one decimal: ties, all-negative windows and -0.0
+    (from small negatives) are all common."""
+    return np.round(rng.normal(size=shape), 1)
+
+
+def assert_same_bits(op, reference, x, rng):
+    """op's output and input gradient equal reference's as int64 bit patterns."""
+    t = parameter(x)
+    out = op(t)
+    g = rounded(rng, out.shape)
+    out.backward(g)
+    ref_out, ref_gx = reference(x, g)
+    for got, want in ((out.data, ref_out), (t.grad, ref_gx)):
+        assert got.shape == want.shape
+        np.testing.assert_array_equal(got.view(np.int64), want.view(np.int64))
+    assert not np.shares_memory(out.data, t.data)
+
+
 def test_maxpool_matches_window_gather_oracle():
     rng = np.random.default_rng(30)
     # tiled, ragged, overlapping and gapped windows
@@ -529,6 +578,29 @@ def test_maxpool_matches_window_gather_oracle():
         assert np.any((windows == ref_out[..., None]).sum(axis=3) > 1)     # ties occur
         np.testing.assert_array_equal(out.data, ref_out)
         np.testing.assert_array_equal(x.grad, ref_gx)
+
+    # the reference bodies, bit for bit: the AE stage at (64, mid, 24), the
+    # classifier's 3-pool, overlapping and unit windows
+    for shape, kernel, stride in (((64, 11, 24), 2, 2), ((64, 5, 24), 3, 3),
+                                  ((4, 3, 13), 3, 2), ((4, 3, 13), 1, 1)):
+        x = rounded(rng, shape)
+        pairs = x[:, :, :shape[2] // 2 * 2].reshape(-1, 2)
+        assert np.any(pairs[:, 0] == pairs[:, 1])                      # tied pairs
+        assert np.any(np.all(pairs < 0, axis=1))                       # all-negative pairs
+        assert np.any((x == 0) & np.signbit(x)) and np.any((x == 0) & ~np.signbit(x))
+        assert_same_bits(lambda t: maxpool1d(t, kernel, stride),
+                           lambda a, g: copyto_maxpool(a, kernel, stride, g), x, rng)
+        assert_same_bits(relu, where_relu, x, rng)
+    for factor in (1, 2, 3, 4):
+        assert_same_bits(lambda t: upsample_nearest(t, factor),
+                           lambda a, g: reshape_sum_upsample(a, factor, g),
+                           rounded(rng, (64, 11, 12)), rng)
+    tiny = np.finfo(float).smallest_subnormal
+    specials = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0, tiny, -tiny,
+                         1e-310, -1e-310, 1.5, -1.5])
+    assert_same_bits(relu, where_relu, specials.reshape(1, 1, -1), rng)
+    for n in (1, 3, 17):        # SIMD and scalar fmax paths disagree on -0.0's sign
+        assert_same_bits(relu, where_relu, np.full((1, 1, n), -0.0), rng)
 
 
 def composed_lstm(cell, seq, a, c):

@@ -305,6 +305,29 @@ def test_cli_names_synthetic_noise_that_breaks_the_price_floor(tmp_path, capsys)
     assert "low above" not in err
 
 
+def test_cli_names_synthetic_noise_that_overflows_the_prices(tmp_path, capsys):
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always")
+        for extra, reason in ((("synthetic_n=2", "seed=3"), "beyond the float range"),
+                              ((), "below the 1e-06 price floor")):
+            assert main(["ingest", "synthetic_noise=1e307", *extra,
+                         f"out_dir={tmp_path}"]) == 3
+            err = capsys.readouterr().err
+            assert err.startswith("data error: [ingest] synthetic noise 1e+307 ")
+            assert reason in err and "Warning" not in err, err
+    assert not caught
+
+
+def test_cli_unusable_out_dir_is_a_data_error(tmp_path, capsys):
+    not_a_dir = tmp_path / "file"
+    not_a_dir.write_text("")
+    assert main(["ingest", f"out_dir={not_a_dir}"]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith(f"data error: [ingest] cannot create the run directory "
+                          f"{not_a_dir}/"), err
+    assert "Error" not in err
+
+
 def test_backtest_stride_is_refused_before_any_work(tmp_path, capsys):
     # run-all refuses stride > 1 before ingest: no run directory at all
     assert main(["run-all", *_FAST, "stride=2", f"out_dir={tmp_path / 'all'}"]) == 2
