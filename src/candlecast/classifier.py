@@ -14,11 +14,14 @@ from __future__ import annotations
 
 import numpy as np
 
+from .dataset import GROUPS
 from .errors import ConfigError, DataError
 from .nn import (Conv1d, ConvSpec, Dense, LstmCell, Tensor, as_tensor, concat,
                  dropout, lstm_many_to_one, maxpool1d, relu, sigmoid)
 from .nn.layers import drop_height
 from .nn.tensor import infer
+
+INPUTS = ("ohlcv", "price_code", "non_price_code")    # one per group of GROUPS
 
 
 class _Branch:
@@ -44,24 +47,22 @@ class ClassifierModel:
         if window % 3:
             raise ConfigError(f"window {window} is not divisible by 3; the branch "
                               "pooling needs a window like 24")
-        for label, c in (("ohlcv", ohlcv_channels), ("price", price_channels),
-                         ("non_price", non_price_channels)):
+        channels = (ohlcv_channels, price_channels, non_price_channels)
+        for label, c in zip(GROUPS, channels):
             if c < 1:
                 raise ConfigError(f"{label} branch needs at least 1 channel, got {c}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
         self.window = int(window)
         self.seq_len = window // 3
-        self.group_channels = (int(ohlcv_channels), int(price_channels), int(non_price_channels))
+        self.group_channels = tuple(map(int, channels))
         self.branch_channels = int(branch_channels)
         self.hidden_size = int(hidden_size)
         self.dropout_rate = float(dropout_rate)
         self.name = name
-        self.branches = (
-            _Branch(ohlcv_channels, branch_channels, rng, f"{name}.ohlcv"),
-            _Branch(price_channels, branch_channels, rng, f"{name}.price"),
-            _Branch(non_price_channels, branch_channels, rng, f"{name}.non_price"),
-        )
+        # built in group order, which fixes the rng draws
+        self.branches = tuple(_Branch(c, branch_channels, rng, f"{name}.{label}")
+                              for label, c in zip(GROUPS, channels))
         self.lstm = LstmCell(3 * branch_channels, hidden_size, rng, name=f"{name}.lstm")
         self.fc1 = Dense(hidden_size, 10, rng, name=f"{name}.fc1")
         self.fc2 = Dense(10, 1, rng, name=f"{name}.fc2")
@@ -104,8 +105,7 @@ def forward(model: ClassifierModel, ohlcv, price_code, non_price_code,
     groups = []
     batch = None
     for x, channels, label in zip((ohlcv, price_code, non_price_code),
-                                  model.group_channels,
-                                  ("ohlcv", "price_code", "non_price_code")):
+                                  model.group_channels, INPUTS):
         t = _group_tensor(x, channels, model.window, label)
         if batch is None:
             batch = t.shape[0]

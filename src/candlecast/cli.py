@@ -80,8 +80,7 @@ def _dispatch(args) -> int:
         paths, train_report, _ = run_all(config)
         print(report_text(config))
         if not train_report.well_trained:
-            print(_advise(train_report), file=sys.stderr)
-            return EXIT_UNDER_FITTED
+            raise UnderFitted(_advise(train_report))
         return EXIT_OK
     if args.command == "report":
         print(report_text(config))

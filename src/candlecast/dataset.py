@@ -30,6 +30,9 @@ from .indicators import FeatureClass, FeatureTable
 
 _PRICE_COLUMN_NAMES = frozenset({"open", "high", "low", "close"})
 
+# the channel groups' names, one per FeatureClass in enum order
+GROUPS = ("ohlcv", "price", "non_price")
+
 
 def direction_labels(closes: np.ndarray) -> np.ndarray:
     """label[i] = 1 if closes[i+1] > closes[i] else 0; length n-1."""
@@ -40,13 +43,8 @@ def direction_labels(closes: np.ndarray) -> np.ndarray:
 
 
 def _channel_order(names, classes):
-    groups = {FeatureClass.OHLCV: [], FeatureClass.PRICE_LIKE: [], FeatureClass.NON_PRICE_LIKE: []}
-    for name, cls in zip(names, classes):
-        groups[cls].append(name)
-    ordered = []
-    for cls in (FeatureClass.OHLCV, FeatureClass.PRICE_LIKE, FeatureClass.NON_PRICE_LIKE):
-        ordered.extend(sorted(groups[cls]))
-    return ordered
+    return [name for cls in FeatureClass
+            for name in sorted(n for n, c in zip(names, classes) if c is cls)]
 
 
 def _is_price_channel(name: str, cls: FeatureClass) -> bool:
@@ -136,7 +134,7 @@ def make_windows(table: FeatureTable, closes: np.ndarray, window: int,
     # (rows-window+1, channels, window) view, then pick the window ends
     sw = np.lib.stride_tricks.sliding_window_view(ordered.values, window, axis=0)
     X = sw[ends - window + 1][:, :, None, :].copy()
-    y = (closes[ends + 1] > closes[ends]).astype(np.float64)
+    y = direction_labels(closes)[ends]
     return WindowedDataset(X=X, y=y, end_rows=ends.astype(np.int64),
                            index=table.index[ends].copy(),
                            close_t=closes[ends].copy(), close_next=closes[ends + 1].copy(),
@@ -147,12 +145,12 @@ def make_windows(table: FeatureTable, closes: np.ndarray, window: int,
 def split_channels(ds: WindowedDataset):
     """Partition instances into the three channel groups.
 
-    Returns (ohlcv, price_like, non_price_like) batches shaped
+    Returns one batch per group of ``GROUPS``, in that order, shaped
     (n, group_channels, 1, window); concatenating them along the channel
     axis reproduces ``ds.X``.
     """
     out = []
-    for cls in (FeatureClass.OHLCV, FeatureClass.PRICE_LIKE, FeatureClass.NON_PRICE_LIKE):
+    for cls in FeatureClass:
         idx = [i for i, c in enumerate(ds.channel_classes) if c is cls]
         if not idx:
             raise DataError(f"no {cls.value} channels; widen the indicator grid "

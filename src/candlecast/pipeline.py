@@ -26,7 +26,7 @@ import numpy as np
 
 from .autoencoder import build_autoencoder, encode, train_autoencoder
 from .classifier import build_classifier, predict_batch
-from .dataset import (direction_labels, fit_norm_stats, load_windows,
+from .dataset import (GROUPS, direction_labels, fit_norm_stats, load_windows,
                       make_windows, normalize, save_windows, split_channels)
 from .denoise import WaveletConfig, denoise_features
 from .errors import ArtifactError, CandlecastError, ConfigError, DataError
@@ -96,7 +96,9 @@ DEFAULTS = {
     "out_dir": "out",
 }
 
-_STREAM_NAMES = ("synthetic", "ae_price", "ae_non_price", "classifier", "trainer")
+_AE_GROUPS = GROUPS[1:]          # each has an autoencoder; the raw candles have none
+# the spawn order fixes each stream's bits
+_STREAM_NAMES = ("synthetic", *(f"ae_{g}" for g in _AE_GROUPS), "classifier", "trainer")
 
 
 def parse_number(text: str) -> float:
@@ -306,9 +308,14 @@ def seed_streams(seed: int) -> dict:
 @contextmanager
 def _stage(name: str):
     """Prefix a CandlecastError raised in the block with ``[name]``, unless
-    an inner stage already named it."""
+    an inner stage already named it; a filesystem failure (OSError) is
+    raised as such an ArtifactError."""
     try:
         yield
+    except OSError as exc:
+        error = ArtifactError(f"[{name}] file system error: {exc}")
+        error.stage = name
+        raise error from exc
     except CandlecastError as exc:
         if getattr(exc, "stage", None) is None:
             message = exc.args[0] if exc.args else str(exc)
@@ -334,10 +341,6 @@ class RunPaths:
     @property
     def dataset(self) -> Path: return self.root / "dataset.bin"
     @property
-    def ae_price(self) -> Path: return self.root / "ae_price.ckpt"
-    @property
-    def ae_non_price(self) -> Path: return self.root / "ae_non_price.ckpt"
-    @property
     def prepare_json(self) -> Path: return self.root / "prepare.json"
     @property
     def classifier(self) -> Path: return self.root / "classifier.ckpt"
@@ -348,6 +351,7 @@ class RunPaths:
     @property
     def backtest_json(self) -> Path: return self.root / "backtest.json"
 
+    def autoencoder(self, group: str) -> Path: return self.root / f"ae_{group}.ckpt"
     def report_json(self, i: int) -> Path: return self.root / f"report_theta{i}.json"
     def report_csv(self, i: int) -> Path: return self.root / f"report_theta{i}.csv"
     def ledger_csv(self, i: int) -> Path: return self.root / f"ledger_theta{i}.csv"
@@ -508,26 +512,24 @@ def stage_prepare(config: PipelineConfig) -> RunPaths:
             ds = normalize(ds, fit_norm_stats(ds))
             save_windows(ds, paths.dataset)
         with _stage("prepare:channels"):
-            ohlcv, price, non_price = split_channels(ds)
+            groups = split_channels(ds)
         with _stage("prepare:autoencoders"):
             summary = {}
-            for label, batch, requested, stream in (
-                    ("price", price, config.ae_code_price, "ae_price"),
-                    ("non_price", non_price, config.ae_code_non_price, "ae_non_price")):
+            for label, batch in zip(_AE_GROUPS, groups[1:]):
+                requested = getattr(config, f"ae_code_{label}")
                 channels = batch.shape[1]
                 code = min(requested, channels - 1) if channels > 1 else requested
                 if code != requested:
                     warnings.warn(f"{label} group has {channels} channels; "
                                   f"code size clamped from {requested} to {code}")
-                rng = np.random.default_rng(streams[stream])
+                rng = np.random.default_rng(streams[f"ae_{label}"])
                 model = build_autoencoder(channels, code, config.window,
                                           seed=rng, name=f"ae_{label}")
                 train_autoencoder(model, batch[:ds.n_train],
                                   epochs=config.ae_epochs,
                                   lr=config.ae_learning_rate,
                                   batch_size=config.ae_batch_size, seed=rng)
-                target = paths.ae_price if label == "price" else paths.ae_non_price
-                save_checkpoint(model.parameters(), target)
+                save_checkpoint(model.parameters(), paths.autoencoder(label))
                 summary[label] = {"in_channels": channels, "code_channels": code,
                                   "epochs": len(model.loss_history),
                                   "final_loss": float(model.loss_history[-1])}
@@ -535,15 +537,14 @@ def stage_prepare(config: PipelineConfig) -> RunPaths:
             "ae": summary,
             "channels": list(ds.channel_names),
             "classes": [c.value for c in ds.channel_classes],
-            "groups": {"ohlcv": int(ohlcv.shape[1]), "price": int(price.shape[1]),
-                       "non_price": int(non_price.shape[1])},
+            "groups": {g: int(batch.shape[1]) for g, batch in zip(GROUPS, groups)},
             "instances": len(ds), "n_train": int(ds.n_train),
             "rows": rows, "train_rows": train_rows,
             "window": config.window, "stride": config.stride,
         }
         write_json(paths.prepare_json, payload)
-        manifest.add(paths.importance, paths.dataset, paths.ae_price,
-                     paths.ae_non_price, paths.prepare_json)
+        manifest.add(paths.importance, paths.dataset,
+                     *map(paths.autoencoder, _AE_GROUPS), paths.prepare_json)
     return paths
 
 
@@ -555,25 +556,23 @@ def _restored(model, manifest: Manifest, path: Path):
 
 
 def _encoded_groups(config: PipelineConfig, paths: RunPaths, manifest: Manifest):
-    """The prepared windows and their metadata, the raw-candle group, and
-    both channel groups encoded by their stored autoencoders."""
+    """The prepared windows and the classifier's three inputs: the raw-candle
+    group, then every other group encoded by its stored autoencoder."""
     ds = load_windows(manifest.verify(paths.dataset))
     info = manifest.verified_json(paths.prepare_json)
-    ohlcv, price, non_price = split_channels(ds)
+    ohlcv, *coded = split_channels(ds)
     codes = []
-    for label, path, batch in (("price", paths.ae_price, price),
-                               ("non_price", paths.ae_non_price, non_price)):
+    for label, batch in zip(_AE_GROUPS, coded):
         ae = build_autoencoder(info["ae"][label]["in_channels"],
                                info["ae"][label]["code_channels"],
                                config.window, seed=0, name=f"ae_{label}")
-        codes.append(encode(_restored(ae, manifest, path), batch))
-    return ds, info, ohlcv, *codes
+        codes.append(encode(_restored(ae, manifest, paths.autoencoder(label)), batch))
+    return ds, (ohlcv, *codes)
 
 
-def _classifier_for(config: PipelineConfig, ohlcv, price_code, non_price_code, seed):
+def _classifier_for(config: PipelineConfig, groups, seed):
     """The configured classifier, sized to the three encoded groups."""
-    return build_classifier(ohlcv.shape[1], price_code.shape[1],
-                            non_price_code.shape[1], config.window, seed=seed,
+    return build_classifier(*(g.shape[1] for g in groups), config.window, seed=seed,
                             hidden_size=config.clf_hidden,
                             branch_channels=config.clf_branch_channels,
                             dropout_rate=config.clf_dropout)
@@ -582,14 +581,11 @@ def _classifier_for(config: PipelineConfig, ohlcv, price_code, non_price_code, s
 def stage_train(config: PipelineConfig) -> tuple:
     """Fit the classifier on the training instances; persist the verdict."""
     with _open_run(config, "train") as (paths, manifest):
-        ds, info, ohlcv, price_code, non_price_code = \
-            _encoded_groups(config, paths, manifest)
+        ds, groups = _encoded_groups(config, paths, manifest)
         n_train = ds.n_train
         streams = seed_streams(config.seed)
-        model = _classifier_for(config, ohlcv, price_code, non_price_code,
-                                np.random.default_rng(streams["classifier"]))
-        report = train_classifier(model, ohlcv[:n_train], price_code[:n_train],
-                                  non_price_code[:n_train], ds.y[:n_train],
+        model = _classifier_for(config, groups, np.random.default_rng(streams["classifier"]))
+        report = train_classifier(model, *(g[:n_train] for g in groups), ds.y[:n_train],
                                   config.train_config(),
                                   seed=np.random.default_rng(streams["trainer"]))
         save_checkpoint(model.parameters(), paths.classifier)
@@ -614,10 +610,9 @@ def stage_backtest(config: PipelineConfig) -> tuple:
     _refuse_backtest_stride(config)
     with _open_run(config, "backtest") as (paths, manifest):
         verdict = manifest.verified_json(paths.train_json)
-        ds, info, ohlcv, price_code, non_price_code = \
-            _encoded_groups(config, paths, manifest)
-        model = _restored(_classifier_for(config, ohlcv, price_code, non_price_code,
-                                          seed=0), manifest, paths.classifier)
+        ds, groups = _encoded_groups(config, paths, manifest)
+        model = _restored(_classifier_for(config, groups, seed=0), manifest,
+                          paths.classifier)
 
         n_train = ds.n_train
         if n_train >= len(ds):
@@ -632,8 +627,7 @@ def stage_backtest(config: PipelineConfig) -> tuple:
             warnings.warn("global wavelet mode denoises with the full series "
                           "in view; backtest results include look-ahead and "
                           "overstate live performance")
-        sigmas = predict_batch(model, ohlcv[n_train:], price_code[n_train:],
-                               non_price_code[n_train:])
+        sigmas = predict_batch(model, *(g[n_train:] for g in groups))
         labels = ds.y[n_train:]
         extra = {"sigma_star": verdict["sigma_star"],
                  "converged_loss_10": verdict["loss_10"],
@@ -674,19 +668,21 @@ def run_all(config: PipelineConfig) -> tuple:
 def report_text(config: PipelineConfig) -> str:
     """Human-readable summary of a finished run."""
     paths = run_paths(config)
-    manifest = Manifest.load(paths, config)
-    verdict = manifest.verified_json(paths.train_json)
-    lines = [f"run {config.run_id} at {paths.root}",
-             f"verdict: {verdict['status']} "
-             f"(sigma*={verdict['sigma_star']:.4f}, zeta={verdict['zeta']}, "
-             f"epochs={verdict['epochs_run']})"]
-    if paths.backtest_json.name in manifest.files:
-        summary = manifest.verified_json(paths.backtest_json)
-        lines.append("theta    trades  accuracy  pnl_saving%  pnl_compound%")
-        for run in summary["runs"]:
-            lines.append(f"{run['theta']:<8.4g}{run['trades']:>6}  "
-                         f"{run['accuracy']:>8.4f}  {run['pnl_profit_saving']:>11.4f}  "
-                         f"{run['pnl_compounding']:>13.4f}")
-    else:
-        lines.append("no backtest artifacts yet")
+    # not _open_run: a report reads the run directory and changes nothing in it
+    with _stage("report"):
+        manifest = Manifest.load(paths, config)
+        verdict = manifest.verified_json(paths.train_json)
+        lines = [f"run {config.run_id} at {paths.root}",
+                 f"verdict: {verdict['status']} "
+                 f"(sigma*={verdict['sigma_star']:.4f}, zeta={verdict['zeta']}, "
+                 f"epochs={verdict['epochs_run']})"]
+        if paths.backtest_json.name in manifest.files:
+            summary = manifest.verified_json(paths.backtest_json)
+            lines.append("theta    trades  accuracy  pnl_saving%  pnl_compound%")
+            for run in summary["runs"]:
+                lines.append(f"{run['theta']:<8.4g}{run['trades']:>6}  "
+                             f"{run['accuracy']:>8.4f}  {run['pnl_profit_saving']:>11.4f}  "
+                             f"{run['pnl_compounding']:>13.4f}")
+        else:
+            lines.append("no backtest artifacts yet")
     return "\n".join(lines)

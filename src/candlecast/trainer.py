@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .classifier import ClassifierModel, forward
+from .classifier import INPUTS, ClassifierModel, forward
 from .errors import ConfigError, DataError
 from .framing import read_rows, write_rows
 from .nn import bce_loss
@@ -122,12 +122,11 @@ def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
     numeric blow-up (non-finite loss or activations) raises
     TrainingDiverged.
     """
-    names = ("ohlcv", "price_code", "non_price_code")
     groups = [as_batch(x, label) for x, label in
-              zip((ohlcv, price_code, non_price_code), names)]
+              zip((ohlcv, price_code, non_price_code), INPUTS)]
     y = np.asarray(labels, dtype=float).reshape(-1)
     n = groups[0].shape[0]
-    for g, label in zip(groups, names):
+    for g, label in zip(groups, INPUTS):
         if g.shape[0] != n:
             raise DataError(f"{label}: batch {g.shape[0]} != {n}")
     if y.shape[0] != n:
@@ -146,14 +145,15 @@ def train_classifier(model: ClassifierModel, ohlcv, price_code, non_price_code,
                              config.patience, config.slope_threshold)
 
     def gated_plateau(losses):
-        return converged(losses) and sigma_star(loss_base10(losses[-1])) >= config.zeta
+        return converged(losses) and quality_gate(sigma_star(loss_base10(losses[-1])),
+                                                  config.zeta)
 
     losses = fit(model.parameters(), config.learning_rate, n, config.batch_size, rng,
                  batch_loss, config.max_epochs, [], gated_plateau)
     model.trained = True
     history = [(e, loss_base10(e), sigma_star(loss_base10(e))) for e in losses]
     loss_e, l10, star = history[-1]
-    status = "well_trained" if star >= config.zeta else "under_fitted"
+    status = "well_trained" if quality_gate(star, config.zeta) else "under_fitted"
     return TrainReport(status=status, epochs_run=len(losses), converged=converged(losses),
                        loss_e=loss_e, loss_10=l10, sigma_star=star, history=history)
 

@@ -7,6 +7,7 @@ import ast
 import importlib
 import importlib.util
 import inspect
+import json
 from pathlib import Path
 
 import candlecast.cli as cli
@@ -49,3 +50,19 @@ def test_kernel_imports_resolve():
                 assert hasattr(module, alias.name), f"{node.module}.{alias.name}"
                 found += 1
     assert found > 0
+
+
+def test_prepare_json_holds_what_kernels_read(tmp_path):
+    # kernels.py sizes its cases from prepare.json: groups.ohlcv, and
+    # in_channels and code_channels of ae.price, ae.non_price and every ae
+    config = pipeline.build_config(None, (
+        "synthetic_n=450", "indicator_windows=7,14", "top_k=26", "gbdt_rounds=8",
+        "window=12", "ae_code_price=2", "ae_code_non_price=2", "ae_epochs=1",
+        f"out_dir={tmp_path}"))
+    pipeline.stage_ingest(config)
+    info = json.loads(pipeline.stage_prepare(config).prepare_json.read_text())
+    assert info["groups"]["ohlcv"] == 5
+    assert sorted(info["ae"]) == ["non_price", "price"]
+    for group, ae in info["ae"].items():
+        assert ae["in_channels"] == info["groups"][group], group
+        assert ae["code_channels"] == 2, group

@@ -390,9 +390,12 @@ def test_run_directory_holds_only_listed_files(tmp_path, capsys):
     def on_disk():
         return sorted(p.name for p in paths.root.iterdir())
 
-    # an error before prepare's first sub-step carries the stage name
-    assert main(["prepare", *overrides]) == 3
-    assert capsys.readouterr().err.startswith("data error: [prepare] no manifest at ")
+    # an error before prepare's first sub-step carries the stage name, and
+    # so does report's; neither creates the run directory
+    for command in ("prepare", "report"):
+        assert main([command, *overrides]) == 3
+        assert capsys.readouterr().err.startswith(f"data error: [{command}] no manifest at ")
+        assert not paths.root.exists()
     save_csv(sine_market(n=450, seed=1), csv)
     assert main(["ingest", *overrides]) == 0
     assert main(["prepare", *overrides]) == 0
@@ -413,6 +416,18 @@ def test_run_directory_holds_only_listed_files(tmp_path, capsys):
         paths.manifest.write_text(torn)
         assert main(["prepare", *overrides]) == 3
         assert on_disk() == ["manifest.json", "market.csv", "stale.bin"]
+
+
+@pytest.mark.parametrize("entry", ["manifest.json", "market.csv"])
+def test_filesystem_failure_in_a_stage_is_an_artifact_error(tmp_path, capsys, entry):
+    # a directory where ingest reads the manifest or replaces the candle file
+    overrides = [*_FAST, f"out_dir={tmp_path / 'out'}"]
+    paths = run_paths(build_config(None, overrides))
+    (paths.root / entry).mkdir(parents=True)
+    assert main(["ingest", *overrides]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [ingest] ") and entry in err
+    assert (paths.root / entry).is_dir()
 
 
 def test_torn_manifest_is_an_artifact_error(tmp_path, capsys):
@@ -479,13 +494,12 @@ def _run_on(series, csv, *extra):
     run_all(config)
     paths = run_paths(config)
     manifest = Manifest.load(paths, config)
-    ds, _, ohlcv, price_code, non_price_code = \
-        pipeline._encoded_groups(config, paths, manifest)
-    model = pipeline._restored(pipeline._classifier_for(
-        config, ohlcv, price_code, non_price_code, seed=0), manifest, paths.classifier)
+    ds, groups = pipeline._encoded_groups(config, paths, manifest)
+    model = pipeline._restored(pipeline._classifier_for(config, groups, seed=0),
+                               manifest, paths.classifier)
     k = ds.n_train
     ends = np.searchsorted(series.timestamps, ds.index[k:])
-    sigmas = predict_batch(model, ohlcv[k:], price_code[k:], non_price_code[k:])
+    sigmas = predict_batch(model, *(g[k:] for g in groups))
     return config, paths.root, ends, sigmas
 
 
