@@ -16,8 +16,7 @@ import sys
 from .errors import (ArtifactError, CandlecastError, ConfigError, DataError,
                      TrainingDiverged, UnderFitted)
 from .pipeline import (DEFAULTS, build_config, report_text, run_all,
-                       run_paths, stage_backtest, stage_ingest, stage_prepare,
-                       stage_train)
+                       stage_backtest, stage_ingest, stage_prepare, stage_train)
 
 EXIT_OK = 0
 EXIT_CONFIG = 2

@@ -17,6 +17,9 @@ Two modes:
     only safe for fitting, never for trade simulation.
   - ``causal``  row t is the last sample of the denoised prefix [0..t].
     Strictly no look-ahead; levels are clamped to what the prefix allows.
+    That sample depends on a fixed number of rows at each end of the
+    prefix, so it is computed from a short surrogate of the prefix, many
+    prefixes per transform, to the same bits.
 """
 from __future__ import annotations
 
@@ -168,12 +171,97 @@ def _denoise(x: np.ndarray, config: WaveletConfig) -> np.ndarray:
     # causal mode clamps the depth per prefix, so any length >= 1 is fine
     if x.shape[0] == 0:
         raise DataError("empty column")
+    return _causal(x, config)
+
+
+_CHUNK = 16          # prefixes per batched transform: keeps the working set small
+
+
+def _surrogate_len(m: int, levels: int, taps: int) -> int:
+    """Length of the surrogate that stands in for the prefix of length m.
+
+    A causal row depends on fewer than taps * 2**levels rows at each end of
+    its prefix (the periodic wrap brings in the start).  The surrogate is
+    that many head rows followed by at least as many tail rows, with length
+    congruent to m mod 2**levels, so the odd-length padding and the
+    coefficient grid line up at every level.  A prefix too short for a
+    head and a tail is its own surrogate."""
+    span = 2 * taps << levels
+    return m if m < span else span + (m - span) % (1 << levels)
+
+
+def _causal(x: np.ndarray, config: WaveletConfig) -> np.ndarray:
+    """Row t of each column is the last row of the prefix [0..t] denoised
+    globally, with the level count clamped to floor(log2(t+1)).
+
+    Prefixes with the same level count and surrogate length are stacked as
+    columns of one transform, a chunk at a time."""
+    n = x.shape[0]
+    h = _FILTERS[config.family]
+    # |finest details| of the whole column; detail i of the prefix of length
+    # m is the same sum of the same samples whenever 2i + taps <= m
+    interior = np.ascontiguousarray(np.abs(_analysis_step(x, h, _qmf(h))[1]).T)
+    groups: dict = {}
+    for m in range(2, n + 1):
+        levels = min(config.levels, int(math.log2(m)))
+        groups.setdefault((levels, _surrogate_len(m, levels, len(h))), []).append(m)
     y = np.empty_like(x)
     y[0] = x[0]
-    for t in range(1, x.shape[0]):
-        levels = min(config.levels, int(math.log2(t + 1)))
-        y[t] = _denoise_matrix(x[:t + 1], config, levels)[-1]
+    for (levels, length), ms in groups.items():
+        for i in range(0, len(ms), _CHUNK):
+            chunk = np.array(ms[i:i + _CHUNK])
+            y[chunk - 1] = _last_rows(x, interior, chunk, levels, length, config)
     return y
+
+
+def _last_rows(x: np.ndarray, interior: np.ndarray, ms: np.ndarray, levels: int,
+               length: int, config: WaveletConfig) -> np.ndarray:
+    """Last row of each prefix x[:m], m in ``ms``, denoised globally at
+    ``levels``: one transform over the prefixes' surrogates side by side."""
+    p, k = len(ms), x.shape[1]
+    taps = len(_FILTERS[config.family])
+    head = taps << levels                            # as in _surrogate_len
+    rows = np.arange(length)[:, None]
+    z = x[rows + (rows >= head) * (ms - length)].reshape(length, p * k)
+    cfg = WaveletConfig(config.family, levels, "global")
+    approx, details, lengths = dwt_forward(z, cfg)
+    count = (ms + 1) // 2                            # finest details per prefix
+    inner = np.maximum((ms - taps) // 2 + 1, 0)      # of which interior
+    edge = details[0][len(details[0]) - (count[0] - inner[0]):]
+    lam = _threshold(interior, np.abs(edge).reshape(-1, p, k), ms, count, inner)
+    details = [_soft(d, lam) for d in details]
+    return dwt_inverse(approx, details, lengths, cfg)[-1].reshape(p, k)
+
+
+def _threshold(interior: np.ndarray, edge: np.ndarray, ms: np.ndarray,
+               count: np.ndarray, inner: np.ndarray) -> np.ndarray:
+    """Universal threshold median(|finest details|) / 0.6745 * sqrt(2 ln m)
+    of each prefix length m in ``ms`` (ascending), flattened (p * k,).
+
+    The finest |details| of prefix ms[j] are interior[:, :inner[j]] plus
+    edge[:, j].  Sort interior[:, :k0], k0 = inner[0], once; each prefix
+    adds at most q more values, and q extra values move a rank by at most
+    q, so its middle ranks r1 <= r2 lie in sorted[r1 - q : r2 + 1].  Merging
+    that window with the q values (+inf where a prefix has fewer) gives
+    them exactly."""
+    k, p = interior.shape[0], len(ms)
+    k0, more = inner[0], inner[-1] - inner[0]
+    q = more + edge.shape[0]
+    r1 = (count - 1) // 2
+    ordered = np.concatenate([np.full((k, q), -np.inf),     # keeps r1 - q >= 0
+                              np.sort(interior[:, :k0], axis=1),
+                              np.full((k, max(r1[-1] + 2 - k0, 0)), np.inf)], axis=1)
+    window = ordered[:, r1[:, None] + np.arange(q + 2)]
+    late = np.where(np.arange(more) < (inner - k0)[:, None],
+                    interior[:, None, k0:k0 + more], np.inf)
+    merged = np.concatenate([window, late, edge.transpose(2, 1, 0)], axis=2)
+    merged.partition((q, q + 1), axis=2)
+    mid = merged[:, :, q]                            # rank r1
+    even = count % 2 == 0
+    # np.median's mean of the two middle values
+    mid[:, even] = (mid[:, even] + merged[:, even, q + 1]) / 2
+    factor = np.array([math.sqrt(2.0 * math.log(m)) for m in ms])
+    return (mid / 0.6745 * factor).T.reshape(p * k)
 
 
 def denoise_column(x: np.ndarray, config: WaveletConfig) -> np.ndarray:

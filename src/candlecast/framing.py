@@ -25,13 +25,18 @@ from .errors import ArtifactError, DataError
 @contextlib.contextmanager
 def replacing(path, mode: str = "w", newline: str | None = None):
     """Open a temp file beside ``path`` for writing; it replaces ``path``
-    when the block finishes and is removed if the block raises."""
+    when the block finishes and is removed if the block raises.  A failure
+    to open or move the temp file names ``path``, not the temp file."""
     # unique among live writers, so concurrent runs never share a temp file
     temp = f"{os.fspath(path)}.{os.getpid()}.{threading.get_ident()}.tmp"
     try:
         with open(temp, mode, newline=newline) as fh:
             yield fh
         os.replace(temp, path)
+    except OSError as exc:
+        if exc.filename != temp:
+            raise
+        raise type(exc)(exc.errno, exc.strerror, os.fspath(path)) from exc
     finally:
         with contextlib.suppress(FileNotFoundError):
             os.remove(temp)

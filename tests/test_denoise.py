@@ -10,9 +10,10 @@ import math
 import numpy as np
 import pytest
 
-from candlecast.denoise import (_FILTERS, WaveletConfig, _analysis_step, _qmf,
-                                _synthesis_step, denoise_column, denoise_features,
-                                dwt_forward, dwt_inverse)
+from candlecast.denoise import (_FILTERS, WaveletConfig, _analysis_step, _denoise,
+                                _denoise_matrix, _qmf, _surrogate_len, _synthesis_step,
+                                denoise_column, denoise_features, dwt_forward,
+                                dwt_inverse)
 from candlecast.errors import ConfigError, DataError
 from candlecast.indicators import IndicatorSpec, generate_features
 
@@ -101,13 +102,57 @@ def test_causal_mode_prefix_equality():
     x = np.cumsum(rng.normal(size=120))
     cfg = WaveletConfig("db4", 2, "causal")
     out = denoise_column(x, cfg)
-    for cut in (2, 9, 31, 64, 100):
+    # the seam: the first prefix that a shorter surrogate stands in for,
+    # then one cut at each residue mod 2**levels past it
+    seam = next(m for m in range(2, 120) if _surrogate_len(m, 2, 4) < m)
+    for cut in (2, 9, 31, 64, 100, seam - 1, *range(seam, seam + 4)):
         np.testing.assert_array_equal(denoise_column(x[:cut], cfg), out[:cut])
     # changing the future never changes the past
     x2 = x.copy()
     x2[80:] += rng.normal(0, 5.0, 40)
     out2 = denoise_column(x2, cfg)
     np.testing.assert_array_equal(out2[:80], out[:80])
+
+
+def per_prefix_denoise(x, config):
+    """Causal denoise as one global denoise per prefix [0..t]: the oracle
+    for the batched surrogate path in ``_denoise``."""
+    y = np.empty_like(x)
+    y[0] = x[0]
+    for t in range(1, x.shape[0]):
+        levels = min(config.levels, int(math.log2(t + 1)))
+        y[t] = _denoise_matrix(x[:t + 1], config, levels)[-1]
+    return y
+
+
+def awkward_columns(n, seed):
+    """A random walk, then columns that stress the threshold: -0.0 entries,
+    constants (all -0.0 gives lambda = 0), integers (tied |d|) and values
+    near 1e300."""
+    rng = np.random.default_rng(seed)
+    walk = np.cumsum(rng.normal(size=n))
+    signed_zeros = rng.normal(size=n)
+    signed_zeros[::3] = -0.0
+    return np.column_stack([walk, signed_zeros, np.full(n, -0.0), np.full(n, 2.5),
+                            np.round(3.0 * walk), 1e300 * rng.normal(size=n)])
+
+
+@pytest.mark.parametrize("family", ["haar", "db4"])
+@pytest.mark.parametrize("levels", [1, 2, 3, 8])    # 8: each prefix's deepest
+def test_causal_bit_equal_per_prefix_oracle_every_length(family, levels):
+    x = awkward_columns(300, seed=10)
+    cfg = WaveletConfig(family, levels, "causal")
+    want = per_prefix_denoise(x, cfg).view(np.int64)
+    for n in range(1, 301):
+        got = _denoise(x[:n], cfg).view(np.int64)
+        np.testing.assert_array_equal(got, want[:n], err_msg=f"{family}/{levels}/n={n}")
+
+
+def test_causal_bit_equal_per_prefix_oracle_default_length():
+    x = awkward_columns(3949, seed=11)[:, [0, 1, 4]]
+    cfg = WaveletConfig("db4", 2, "causal")
+    np.testing.assert_array_equal(_denoise(x, cfg).view(np.int64),
+                                  per_prefix_denoise(x, cfg).view(np.int64))
 
 
 def test_causal_row_matches_global_on_prefix():

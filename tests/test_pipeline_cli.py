@@ -10,8 +10,7 @@ import pytest
 from candlecast import pipeline
 from candlecast.classifier import predict_batch
 from candlecast.cli import main
-from candlecast.errors import (ArtifactError, ConfigError, DataError,
-                               TrainingDiverged)
+from candlecast.errors import ArtifactError, ConfigError, TrainingDiverged
 from candlecast.market_data import CandleSeries, save_csv
 from candlecast.pipeline import (DEFAULTS, Manifest, PipelineConfig,
                                  build_config, load_config_file, parse_number,
@@ -427,6 +426,7 @@ def test_filesystem_failure_in_a_stage_is_an_artifact_error(tmp_path, capsys, en
     assert main(["ingest", *overrides]) == 3
     err = capsys.readouterr().err
     assert err.startswith("data error: [ingest] ") and entry in err
+    assert ".tmp" not in err
     assert (paths.root / entry).is_dir()
 
 
