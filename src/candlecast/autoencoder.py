@@ -21,7 +21,7 @@ import numpy as np
 from .errors import ConfigError, DataError
 from .nn import (Conv1d, ConvSpec, Tensor, as_tensor, maxpool1d, mse_loss,
                  relu, upsample_nearest)
-from .nn.layers import as_batch
+from .nn.layers import as_batch, drop_height
 from .nn.optim import fit
 from .nn.tensor import infer
 
@@ -80,12 +80,9 @@ class AutoencoderModel:
 
     def _check(self, x) -> Tensor:
         x = as_tensor(x)
-        shape = x.shape
-        c = shape[-3] if x.ndim == 4 else shape[-2] if x.ndim == 3 else shape[0]
-        w = shape[-1]
-        if c != self.in_channels or w != self.width:
+        if drop_height(x.data, "autoencoder input").shape[-2:] != (self.in_channels, self.width):
             raise DataError(f"expected {self.in_channels} channels x width {self.width}, "
-                            f"got input shape {shape}")
+                            f"got input shape {x.shape}")
         return x
 
 

@@ -81,10 +81,9 @@ def _dispatch(args) -> int:
         if not train_report.well_trained:
             raise UnderFitted(_advise(train_report))
         return EXIT_OK
-    if args.command == "report":
-        print(report_text(config))
-        return EXIT_OK
-    raise ConfigError(f"unknown command {args.command!r}")
+    # "report": argparse admits no other command
+    print(report_text(config))
+    return EXIT_OK
 
 
 def main(argv=None) -> int:

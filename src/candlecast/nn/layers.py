@@ -3,10 +3,11 @@ standard output-length law, max pooling with first-argmax gradient routing,
 nearest-neighbour upsampling, a gated recurrent (LSTM) cell, dense layers,
 and inverted-scaling dropout.
 
-Canonical activation layout is (batch, channels, length); a single instance
-may be passed as (channels, length) and comes back unbatched, and the
-dataset's (batch, channels, 1, length) blocks are accepted with the height
-axis squeezed and restored.  Layer entry points reject NaN/Inf inputs.
+Every layer takes its input through ``_entering``, the one place the entry
+rule lives: NaN/Inf is rejected; a single instance, one rank below the
+batched form (e.g. (channels, length) for (batch, channels, length)), comes
+back unbatched; the dataset's (batch, channels, 1, length) blocks have their
+height axis squeezed and restored.
 """
 from __future__ import annotations
 
@@ -51,24 +52,21 @@ def as_batch(x, label: str) -> np.ndarray:
     return x
 
 
-def _to_bcl(x: Tensor):
-    """Normalize (C,L), (B,C,L), or (B,C,1,L) to (B,C,L); returns the tensor
-    plus a restore tag for the output."""
-    if x.ndim == 2:
-        return x.reshape(1, *x.shape), "single"
-    if x.ndim == 3:
-        return x, "batch"
-    if x.ndim == 4:
-        return drop_height(x, "layer input"), "height"
-    raise DataError(f"expected 2-d, 3-d, or 4-d input, got shape {x.shape}")
-
-
-def _restore(y: Tensor, tag: str) -> Tensor:
-    if tag == "single":
-        return y.reshape(*y.shape[1:])
-    if tag == "height":
-        return y.reshape(y.shape[0], y.shape[1], 1, y.shape[2])
-    return y
+def _entering(x, where: str, rank: int = 3):
+    """A layer input as a finite Tensor of the batched ``rank``, plus ``back``,
+    which puts an output into the input's arrangement.  One rank lower is a
+    single instance, batched as one; at rank 3 the (N, C, 1, L) blocks lose
+    their height axis and get it back."""
+    x = check_finite(as_tensor(x), where)
+    if x.ndim == rank:
+        return x, lambda y: y
+    if x.ndim == rank - 1:
+        return x.reshape(1, *x.shape), lambda y: y.reshape(*y.shape[1:])
+    if rank == 3 and x.ndim == 4:
+        return (drop_height(x, where),
+                lambda y: y.reshape(y.shape[0], y.shape[1], 1, y.shape[2]))
+    ranks = "2-d, 3-d or 4-d" if rank == 3 else f"{rank - 1}-d or {rank}-d"
+    raise DataError(f"{where}: expected {ranks} input, got shape {x.shape}")
 
 
 @dataclass(frozen=True)
@@ -114,11 +112,10 @@ def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
 
     weight is (out_channels, in_channels, kernel_size); bias is (out_channels,).
     """
-    x = check_finite(as_tensor(x), "conv1d")
-    x3, tag = _to_bcl(x)
+    x3, back = _entering(x, "conv1d")
     b, c, l = x3.shape
     if c != spec.in_channels:
-        raise DataError(f"conv1d expects {spec.in_channels} channels, got {c} (input {x.shape})")
+        raise DataError(f"conv1d expects {spec.in_channels} channels, got {c} (input {x3.shape})")
     if weight.shape != (spec.out_channels, spec.in_channels, spec.kernel_size):
         raise DataError(f"conv1d weight shape {weight.shape} does not match {spec}")
     if bias.shape != (spec.out_channels,):
@@ -150,8 +147,7 @@ def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
                 gx[:, tap] += gcols[:, :, j]
             x3._accumulate(gx[:, p:p + l].transpose(0, 2, 1))
 
-    out = _node(out_data, (x3, weight, bias), backward)
-    return _restore(out, tag)
+    return back(_node(out_data, (x3, weight, bias), backward))
 
 
 class Conv1d:
@@ -181,8 +177,7 @@ def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
     stride = kernel if stride is None else stride
     if stride < 1:
         raise DataError(f"pool stride must be >= 1, got {stride}")
-    x = check_finite(as_tensor(x), "maxpool1d")
-    x3, tag = _to_bcl(x)
+    x3, back = _entering(x, "maxpool1d")
     l = x3.shape[2]
     if kernel > l:
         raise DataError(f"pool kernel {kernel} exceeds length {l}")
@@ -203,8 +198,7 @@ def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
             gx[:, :, tap] += g * (arg == j)
         x3._accumulate(gx)
 
-    out = _node(out_data, (x3,), backward)
-    return _restore(out, tag)
+    return back(_node(out_data, (x3,), backward))
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
@@ -213,15 +207,13 @@ def upsample_nearest(x, factor: int) -> Tensor:
     order (numpy's own order below factor 8; it sums 8 or more pairwise)."""
     if factor < 1:
         raise DataError(f"upsample factor must be >= 1, got {factor}")
-    x = check_finite(as_tensor(x), "upsample_nearest")
-    x3, tag = _to_bcl(x)
+    x3, back = _entering(x, "upsample_nearest")
     out_data = np.repeat(x3.data, factor, axis=2)
 
     def backward(g):
         x3._accumulate(sum(g[:, :, j::factor] for j in range(factor)))
 
-    out = _node(out_data, (x3,), backward)
-    return _restore(out, tag)
+    return back(_node(out_data, (x3,), backward))
 
 
 # column blocks of the stacked gate weights: the tanh candidate first, then
@@ -330,25 +322,16 @@ def lstm_step(cell: LstmCell, a_prev, c_prev, x):
     Accepts (hidden,) / (input,) vectors or (batch, hidden) / (batch, input)
     blocks; returns (a, c) with matching arrangement.
     """
-    a_prev, c_prev, x = as_tensor(a_prev), as_tensor(c_prev), as_tensor(x)
-    for t, label in ((a_prev, "a_prev"), (c_prev, "c_prev"), (x, "x")):
-        check_finite(t, f"lstm_step {label}")
-    single = x.ndim == 1
-    if single:
-        a_prev, c_prev, x = (t.reshape(1, -1) for t in (a_prev, c_prev, x))
+    a_prev, _ = _entering(a_prev, "lstm_step a_prev", rank=2)
+    c_prev, _ = _entering(c_prev, "lstm_step c_prev", rank=2)
+    x, back = _entering(x, "lstm_step x", rank=2)
     h, d = cell.hidden_size, cell.input_size
-    if x.shape[1] != d or a_prev.shape[1] != h or c_prev.shape[1] != h:
+    states = (x.shape[0], h)
+    if x.shape[1] != d or a_prev.shape != states or c_prev.shape != states:
         raise DataError(f"lstm_step dims: x {x.shape}, a_prev {a_prev.shape}, "
                         f"c_prev {c_prev.shape} vs hidden={h}, input={d}")
     state = _lstm_sequence(cell, x.reshape(x.shape[0], 1, d), a_prev, c_prev)
-    a, c = state[:, :h], state[:, h:]
-    if single:
-        a, c = a.reshape(h), c.reshape(h)
-    return a, c
-
-
-def transpose_2d(t: Tensor) -> Tensor:
-    return t.transpose(1, 0)
+    return back(state[:, :h]), back(state[:, h:])
 
 
 def lstm_many_to_one(cell: LstmCell, sequence) -> Tensor:
@@ -360,26 +343,23 @@ def lstm_many_to_one(cell: LstmCell, sequence) -> Tensor:
     """
     if isinstance(sequence, Tensor) or isinstance(sequence, np.ndarray):
         seq = as_tensor(sequence)
-        if seq.ndim not in (2, 3):
-            raise DataError(f"sequence must be (T, input) or (batch, T, input), got {seq.shape}")
     else:
         steps = [as_tensor(s) for s in sequence]
         if not steps:
             raise DataError("empty sequence")
         # stack on the step axis: (input,) steps give (T, input)
         seq = concat([s.reshape(*s.shape[:-1], 1, s.shape[-1]) for s in steps], axis=-2)
-    single = seq.ndim == 2
-    if single:
-        seq = seq.reshape(1, *seq.shape)
-    check_finite(seq, "lstm_many_to_one")
+    if seq.ndim not in (2, 3):      # a sequence has no height axis
+        raise DataError(f"lstm_many_to_one: sequence must be (T, input) or "
+                        f"(batch, T, input), got {seq.shape}")
+    seq, back = _entering(seq, "lstm_many_to_one")
     if seq.shape[1] == 0:
         raise DataError("empty sequence")
     if seq.shape[2] != cell.input_size:
         raise DataError(f"lstm expects {cell.input_size} inputs per step, got {seq.shape}")
     h = cell.hidden_size
     zeros = Tensor(np.zeros((seq.shape[0], h)))
-    a = _lstm_sequence(cell, seq, zeros, zeros)[:, :h]
-    return a.reshape(h) if single else a
+    return back(_lstm_sequence(cell, seq, zeros, zeros)[:, :h])
 
 
 class Dense:
@@ -401,14 +381,10 @@ class Dense:
 
 def dense(x, weight: Tensor, bias: Tensor) -> Tensor:
     """Affine map x W^T + b; x is (features,) or (batch, features)."""
-    x = check_finite(as_tensor(x), "dense")
-    single = x.ndim == 1
-    if single:
-        x = x.reshape(1, -1)
+    x, back = _entering(x, "dense", rank=2)
     if x.shape[1] != weight.shape[1]:
         raise DataError(f"dense expects {weight.shape[1]} features, got {x.shape[1]}")
-    out = matmul(x, transpose_2d(weight)) + bias
-    return out.reshape(weight.shape[0]) if single else out
+    return back(matmul(x, weight.transpose(1, 0)) + bias)
 
 
 def dropout(x, rate: float, rng: np.random.Generator | int, training: bool = True) -> Tensor:

@@ -256,6 +256,18 @@ class PipelineConfig:
                               initial_margin=self.initial_margin)
 
 
+def _setting(pair: str, where: str) -> tuple:
+    """One ``key=value`` setting as (key, parsed value); ``where`` prefixes
+    the errors."""
+    key, eq, text = pair.partition("=")
+    key = key.strip()
+    if not eq:
+        raise ConfigError(f"{where}expected key=value, got {pair!r}")
+    if key not in DEFAULTS:
+        raise ConfigError(f"{where}unknown key {key!r}")
+    return key, _parse_value(key, text)
+
+
 def load_config_file(path) -> dict:
     """Parse ``key = value`` lines; ``#`` starts a comment."""
     path = Path(path)
@@ -268,29 +280,14 @@ def load_config_file(path) -> dict:
     out = {}
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        if "=" not in line:
-            raise ConfigError(f"{path} line {lineno}: expected key=value, got {raw!r}")
-        key, _, text = line.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"{path} line {lineno}: unknown key {key!r}")
-        out[key] = _parse_value(key, text)
+        if line:
+            key, value = _setting(line, f"{path} line {lineno}: ")
+            out[key] = value
     return out
 
 
 def parse_overrides(pairs) -> dict:
-    out = {}
-    for pair in pairs:
-        if "=" not in pair:
-            raise ConfigError(f"override {pair!r} is not key=value")
-        key, _, text = pair.partition("=")
-        key = key.strip()
-        if key not in DEFAULTS:
-            raise ConfigError(f"unknown configuration key {key!r}")
-        out[key] = _parse_value(key, text)
-    return out
+    return dict(_setting(pair, "override: ") for pair in pairs)
 
 
 def build_config(config_path=None, overrides=()) -> PipelineConfig:

@@ -138,7 +138,8 @@ def awkward_columns(n, seed):
 
 
 @pytest.mark.parametrize("family", ["haar", "db4"])
-@pytest.mark.parametrize("levels", [1, 2, 3, 8])    # 8: each prefix's deepest
+# 8: each prefix's deepest; one transform per prefix, about 10 s a family
+@pytest.mark.parametrize("levels", [1, 2, 3, pytest.param(8, marks=pytest.mark.slow)])
 def test_causal_bit_equal_per_prefix_oracle_every_length(family, levels):
     x = awkward_columns(300, seed=10)
     cfg = WaveletConfig(family, levels, "causal")

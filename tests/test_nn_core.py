@@ -699,3 +699,62 @@ def test_no_grad_records_no_graph():
         with no_grad():
             raise RuntimeError("leaves the scope")
     assert (Tensor(np.ones((4, 2))) @ w).requires_grad
+
+
+def _entry_table():
+    """Each layer entry: its message label -> (call, batched inputs with the
+    batch axis first, whether it takes (N, C, 1, L), wrong-rank inputs)."""
+    rng = np.random.default_rng(41)
+    conv = Conv1d(ConvSpec(2, 3, 3, 1, 1), rng)
+    cell = LstmCell(2, 3, rng)
+    fc = Dense(4, 3, rng)
+    block = (rng.normal(size=(3, 2, 8)),)
+    bcl_wrong = [(rng.normal(size=8),), (rng.normal(size=(1, 3, 2, 1, 8)),)]
+    return {
+        "conv1d": (conv, block, True, bcl_wrong),
+        "maxpool1d": (lambda x: maxpool1d(x, 2, 2), block, True, bcl_wrong),
+        "upsample_nearest": (lambda x: upsample_nearest(x, 2), block, True, bcl_wrong),
+        "dense": (fc, (rng.normal(size=(3, 4)),), False,
+                  [(np.float64(1.0),), (np.zeros((2, 3, 4)),)]),
+        "lstm_step": (lambda a, c, x: lstm_step(cell, a, c, x),
+                      (rng.normal(size=(3, 3)), rng.normal(size=(3, 3)),
+                       rng.normal(size=(3, 2))), False,
+                      [(np.zeros(3), np.zeros(3), np.zeros((4, 2))),
+                       (np.zeros((1, 3)), np.zeros((1, 3)), np.zeros((1, 1, 2)))]),
+        "lstm_many_to_one": (lambda s: lstm_many_to_one(cell, s),
+                             (rng.normal(size=(3, 5, 2)),), False,
+                             [(np.zeros(2),), (np.zeros((3, 5, 1, 2)),),
+                              ([np.zeros((3, 1, 2))] * 5,)]),
+        "dropout": (lambda x: dropout(x, 0.5, 9), block, True, []),
+    }
+
+
+def _entry_bits(out):
+    """An output (or lstm_step's (a, c) pair) as int64 bits."""
+    parts = out if isinstance(out, tuple) else (out,)
+    return np.concatenate([t.data for t in parts], axis=-1).view(np.int64)
+
+
+@pytest.mark.parametrize("name", list(_entry_table()))
+def test_every_layer_entry_follows_one_rule(name):
+    call, batched, takes_height, wrong = _entry_table()[name]
+    # NaN and +-Inf in any input stop at the entry, named
+    for i in range(len(batched)):
+        for bad in (np.nan, np.inf, -np.inf):
+            inputs = [x.copy() for x in batched]
+            inputs[i].flat[5] = bad
+            with pytest.raises(NonFiniteError, match=f"entering {name}"):
+                call(*inputs)
+    # a single instance comes back unbatched, a height axis comes back
+    single = call(*(x[0] for x in batched))
+    want = _entry_bits(call(*(x[:1] for x in batched)))[0]
+    assert np.array_equal(_entry_bits(single), want)
+    if takes_height:
+        tall = call(*(x[:, :, None] for x in batched))
+        want = _entry_bits(call(*batched))[:, :, None]
+        assert tall.shape == want.shape and np.array_equal(_entry_bits(tall), want)
+    # any other rank is a data error naming the layer
+    for inputs in wrong:
+        with pytest.raises(DataError, match=name) as caught:
+            call(*inputs)
+        assert not isinstance(caught.value, NonFiniteError)

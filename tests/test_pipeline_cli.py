@@ -1,6 +1,7 @@
 """Configuration layering, run artifacts, reproducibility, and exit codes."""
 from __future__ import annotations
 
+import inspect
 import json
 import warnings
 
@@ -8,17 +9,22 @@ import numpy as np
 import pytest
 
 from candlecast import pipeline
-from candlecast.classifier import predict_batch
+from candlecast.autoencoder import train_autoencoder
+from candlecast.classifier import build_classifier, predict_batch
 from candlecast.cli import main
+from candlecast.denoise import WaveletConfig
 from candlecast.errors import ArtifactError, ConfigError, TrainingDiverged
-from candlecast.market_data import CandleSeries, save_csv
+from candlecast.feature_select import GbdtConfig
+from candlecast.indicators import default_grid
+from candlecast.market_data import CandleSeries, load_csv, save_csv
 from candlecast.pipeline import (DEFAULTS, Manifest, PipelineConfig,
                                  build_config, load_config_file, parse_number,
                                  parse_overrides, run_all, run_paths,
                                  seed_streams, stage_backtest, stage_ingest,
                                  stage_prepare, stage_train)
-from candlecast.strategy import read_ledger_csv
+from candlecast.strategy import StrategyConfig, read_ledger_csv
 from candlecast.synthetic import sine_market
+from candlecast.trainer import TrainConfig
 
 from conftest import make_series
 
@@ -115,6 +121,58 @@ def test_canonical_identity():
     for key in DEFAULTS:
         if key != "out_dir":
             assert f"{key}=" in a.canonical()
+
+
+# DEFAULTS entries that repeat the default of the function or config class
+# that owns the setting: (key, owner, owner's parameter)
+_OWNED_DEFAULTS = (
+    ("synthetic_n", sine_market, "n"),
+    ("timeframe", sine_market, "timeframe"),
+    ("synthetic_period", sine_market, "period"),
+    ("synthetic_amplitude", sine_market, "amplitude"),
+    ("synthetic_noise", sine_market, "noise"),
+    ("synthetic_base_price", sine_market, "base_price"),
+    ("symbol", sine_market, "symbol"),
+    ("fill_gaps", load_csv, "fill_gaps"),
+    ("indicator_windows", default_grid, "windows"),
+    ("wavelet_family", WaveletConfig, "family"),
+    ("wavelet_levels", WaveletConfig, "levels"),
+    ("wavelet_mode", WaveletConfig, "mode"),
+    ("gbdt_rounds", GbdtConfig, "rounds"),
+    ("gbdt_max_depth", GbdtConfig, "max_depth"),
+    ("gbdt_learning_rate", GbdtConfig, "learning_rate"),
+    ("gbdt_min_samples_leaf", GbdtConfig, "min_samples_leaf"),
+    ("top_k", GbdtConfig, "top_k"),
+    ("ae_epochs", train_autoencoder, "epochs"),
+    ("ae_learning_rate", train_autoencoder, "lr"),
+    ("ae_batch_size", train_autoencoder, "batch_size"),
+    ("clf_hidden", build_classifier, "hidden_size"),
+    ("clf_branch_channels", build_classifier, "branch_channels"),
+    ("clf_dropout", build_classifier, "dropout_rate"),
+    ("zeta", TrainConfig, "zeta"),
+    ("patience", TrainConfig, "patience"),
+    ("slope_threshold", TrainConfig, "slope_threshold"),
+    ("max_epochs", TrainConfig, "max_epochs"),
+    ("learning_rate", TrainConfig, "learning_rate"),
+    ("batch_size", TrainConfig, "batch_size"),
+    ("fee_rate", StrategyConfig, "fee_rate"),
+    ("profit_saving", StrategyConfig, "profit_saving"),
+    ("initial_margin", StrategyConfig, "initial_margin"),
+)
+
+
+def _typed(value):
+    """A value with its type, element by element for tuples."""
+    if isinstance(value, tuple):
+        return tuple, tuple(_typed(v) for v in value)
+    return type(value), value
+
+
+@pytest.mark.parametrize("key,owner,param", _OWNED_DEFAULTS,
+                         ids=[key for key, _, _ in _OWNED_DEFAULTS])
+def test_defaults_match_their_owners(key, owner, param):
+    owned = inspect.signature(owner).parameters[param].default
+    assert _typed(DEFAULTS[key]) == _typed(owned)
 
 
 def test_config_file_layering(tmp_path):
