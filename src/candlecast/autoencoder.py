@@ -7,6 +7,8 @@ stage is a width-preserving Conv1d (k=3, s=1, p=1) + ReLU, then
 MaxPool(2,2) immediately undone by Upsample(2).  The decoder mirrors the
 schedule back up and finishes with a final linear convolution after the
 last upsample, so a convolution (not an upsample) produces the output.
+The encoder and the decoder each run as one graph node with a
+hand-written backward, on the conv kernels of ``nn.layers``.
 
 Training minimizes mean-squared reconstruction error with the
 adaptive-moment optimizer, then the model is frozen before the classifier
@@ -19,11 +21,12 @@ import math
 import numpy as np
 
 from .errors import ConfigError, DataError
-from .nn import (Conv1d, ConvSpec, Tensor, as_tensor, maxpool1d, mse_loss,
-                 relu, upsample_nearest)
-from .nn.layers import as_batch, drop_height
+from .nn import Conv1d, ConvSpec, Tensor, as_tensor, mse_loss
+from .nn.layers import (_conv_backward, _conv_forward, _entering, _pool_grad,
+                        _pool_taps, _repeat_grad, _running_max, as_batch,
+                        check_finite, drop_height)
 from .nn.optim import fit
-from .nn.tensor import infer
+from .nn.tensor import _node, infer
 
 
 # instances per encode pass: bounds the transient conv window matrices, so
@@ -64,16 +67,13 @@ class AutoencoderModel:
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
 
-    def _block(self, layer: Conv1d, x: Tensor) -> Tensor:
-        return upsample_nearest(maxpool1d(relu(layer(x)), 2, 2), 2)
-
     def encode_forward(self, x) -> Tensor:
-        x = self._check(x)
-        return self._block(self.enc2, self._block(self.enc1, x))
+        x, back = _entering(self._check(x), "conv1d")
+        return back(_stack(x, (self.enc1, self.enc2)))
 
     def decode_forward(self, code) -> Tensor:
-        code = as_tensor(code)
-        return self.conv_f(self._block(self.dec2, self._block(self.dec1, code)))
+        code, back = _entering(code, "conv1d")
+        return back(_stack(code, (self.dec1, self.dec2), self.conv_f))
 
     def reconstruct(self, x) -> Tensor:
         return self.decode_forward(self.encode_forward(x))
@@ -84,6 +84,49 @@ class AutoencoderModel:
             raise DataError(f"expected {self.in_channels} channels x width {self.width}, "
                             f"got input shape {x.shape}")
         return x
+
+
+def _stack(x: Tensor, blocks: tuple, final: Conv1d | None = None) -> Tensor:
+    """``blocks``, each Conv1d -> ReLU -> MaxPool(2, 2) -> Upsample(2), then
+    ``final`` with no activation, over a (b, c, l) Tensor as one graph node
+    with a hand-written backward.
+
+    Activations stay channels-last between the convolutions.  A block pools
+    its conv output with the relu on the first tap of each pair only: the
+    pair's value is relu(a), or b where b > relu(a).  That is the maximum of
+    (relu(a), relu(b)) with the first maximum winning, bit for bit and NaN
+    included, so the gradient reaches the winner when its value is positive.
+    Each block's pooled values are checked as ``maxpool1d`` checks the relu
+    output: they are finite exactly when it is.
+    """
+    h = x.data.transpose(0, 2, 1)
+    saved = []
+    for layer in blocks:
+        y, cache = _conv_forward(h, layer.spec, layer.weight, layer.bias)
+        taps = _pool_taps(2, 2, y.shape[1])
+        pooled, arg = _running_max(np.fmax(y[:, taps[0]], 0.0) + 0.0, [y[:, taps[1]]])
+        check_finite(pooled, "maxpool1d")
+        h = np.repeat(pooled, 2, axis=1)
+        saved.append((cache, y.shape, taps, pooled, arg))
+    convs = blocks
+    if final is not None:
+        h, final_cache = _conv_forward(h, final.spec, final.weight, final.bias)
+        convs = blocks + (final,)
+
+    def backward(g):
+        g = g.transpose(0, 2, 1)
+        if final is not None:
+            g = _conv_backward(g, final_cache, True)
+        for i in reversed(range(len(saved))):
+            cache, shape, taps, pooled, arg = saved[i]
+            keep = _repeat_grad(g, 2, axis=1) * (pooled > 0)
+            g = _pool_grad(keep, arg, taps, shape, axis=1)
+            g = _conv_backward(g, cache, i > 0 or x.requires_grad)
+        if x.requires_grad:
+            x._accumulate(g.transpose(0, 2, 1))
+
+    params = [p for conv in convs for p in conv.parameters().values()]
+    return _node(h.transpose(0, 2, 1), (x, *params), backward)
 
 
 def build_autoencoder(in_channels: int, code_channels: int, width: int,

@@ -3,9 +3,10 @@
 Each channel group (raw candles, price-like codes, non-price-like codes)
 passes through its own branch: MaxPool(3,3) shrinks the width to
 window/3, then two width-preserving Conv1d+ReLU stages lift the group to
-a common channel count.  Branch outputs are concatenated on channels and
-read as a sequence of length window/3 whose per-step feature vector is
-the concatenated channel column; a many-to-one LSTM (hidden 20) summarizes
+a common channel count.  The three branches run as one graph node whose
+output is the branch channels side by side, read as a sequence of length
+window/3 whose per-step feature vector is the concatenated channel
+column; a many-to-one LSTM (hidden 20) summarizes
 the sequence, and a dense 20->10 ReLU layer with dropout 0.3 plus a final
 dense 10->1 sigmoid produce sigma in (0,1), the probability that the next
 close rises.
@@ -16,10 +17,11 @@ import numpy as np
 
 from .dataset import GROUPS
 from .errors import ConfigError, DataError
-from .nn import (Conv1d, ConvSpec, Dense, LstmCell, Tensor, as_tensor, concat,
-                 dropout, lstm_many_to_one, maxpool1d, relu, sigmoid)
-from .nn.layers import drop_height
-from .nn.tensor import infer
+from .nn import (Conv1d, ConvSpec, Dense, LstmCell, Tensor, as_tensor, dropout,
+                 lstm_many_to_one, relu, sigmoid)
+from .nn.layers import (_conv_backward, _conv_forward, _entering, _pool_grad,
+                        _pool_taps, _running_max, check_finite, drop_height)
+from .nn.tensor import _node, infer
 
 INPUTS = ("ohlcv", "price_code", "non_price_code")    # one per group of GROUPS
 
@@ -31,9 +33,10 @@ class _Branch:
         self.conv2 = Conv1d(ConvSpec(out_channels, out_channels, 3, 1, 1), rng,
                             name=f"{name}.conv2")
 
-    def __call__(self, x: Tensor) -> Tensor:
-        pooled = maxpool1d(x, 3, 3)
-        return relu(self.conv2(relu(self.conv1(pooled))))
+    def __call__(self, x) -> Tensor:
+        """(batch, out_channels, width/3) from (batch, in_channels, width)."""
+        x, back = _entering(x, "maxpool1d")
+        return back(_branches((self,), (x,)).transpose(0, 2, 1))
 
     def parameters(self) -> dict:
         return {**self.conv1.parameters(), **self.conv2.parameters()}
@@ -84,6 +87,45 @@ class ClassifierModel:
             layer.bias.data[:] = 0.0
 
 
+def _branches(branches: tuple, groups: tuple) -> Tensor:
+    """The branches over their (b, c, w) group Tensors as one graph node with
+    a hand-written backward: the (b, w/3, n * out_channels) sequence of the
+    branch outputs side by side, channels-last.
+
+    Checks, branch by branch, the group (``maxpool1d``) and the first relu
+    output (``conv1d``), where the composed layers check them; relu maps a
+    NaN to 0, so a check moved later could miss a blow-up.
+    """
+    outs, saved = [], []
+    for branch, x in zip(branches, groups):
+        check_finite(x, "maxpool1d")
+        taps = _pool_taps(3, 3, x.shape[2])
+        pooled, arg = _running_max(x.data[:, :, taps[0]], [x.data[:, :, t] for t in taps[1:]],
+                                   x.requires_grad)
+        conv1, conv2 = branch.conv1, branch.conv2
+        y1, cache1 = _conv_forward(pooled.transpose(0, 2, 1), conv1.spec, conv1.weight,
+                                   conv1.bias)
+        r1 = check_finite(np.fmax(y1, 0.0) + 0.0, "conv1d")    # relu, as tensor.relu
+        y2, cache2 = _conv_forward(r1, conv2.spec, conv2.weight, conv2.bias)
+        outs.append(np.fmax(y2, 0.0) + 0.0)
+        saved.append((x, taps, arg, y1, cache1, y2, cache2))
+    seq = np.concatenate(outs, axis=2)
+
+    def backward(g):
+        start = 0
+        for x, taps, arg, y1, cache1, y2, cache2 in saved:
+            width = y2.shape[2]
+            g2 = g[:, :, start:start + width] * (y2 > 0) + 0.0
+            start += width
+            g1 = _conv_backward(g2, cache2, True) * (y1 > 0) + 0.0
+            gp = _conv_backward(g1, cache1, x.requires_grad)
+            if x.requires_grad:
+                x._accumulate(_pool_grad(gp.transpose(0, 2, 1), arg, taps, x.shape, axis=2))
+
+    params = [p for b in branches for p in b.parameters().values()]
+    return _node(seq, (*groups, *params), backward)
+
+
 def _group_tensor(x, channels: int, window: int, label: str) -> Tensor:
     x = drop_height(as_tensor(x), label)
     if x.ndim != 3:
@@ -112,8 +154,7 @@ def forward(model: ClassifierModel, ohlcv, price_code, non_price_code,
         elif t.shape[0] != batch:
             raise DataError(f"{label}: batch {t.shape[0]} != {batch}")
         groups.append(t)
-    stacked = concat([b(g) for b, g in zip(model.branches, groups)], axis=1)
-    sequence = stacked.transpose(0, 2, 1)        # (batch, seq_len, 3*branch_channels)
+    sequence = _branches(model.branches, groups)   # (batch, seq_len, 3*branch_channels)
     summary = lstm_many_to_one(model.lstm, sequence)
     hidden = relu(model.fc1(summary))
     hidden = dropout(hidden, model.dropout_rate, rng, training=training)

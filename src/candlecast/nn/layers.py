@@ -12,6 +12,7 @@ height axis squeezed and restored.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -24,8 +25,10 @@ __all__ = ["ConvSpec", "Conv1d", "conv1d_out_len", "conv1d_forward", "maxpool1d"
            "Dense", "dense", "dropout", "relu", "sigmoid", "tanh", "softmax"]
 
 
-def check_finite(x: Tensor, where: str) -> Tensor:
-    if not np.all(np.isfinite(x.data)):
+def check_finite(x, where: str):
+    """``x`` (a Tensor or an array) unchanged, or NonFiniteError naming
+    ``where`` if it holds NaN or Inf."""
+    if not np.all(np.isfinite(as_tensor(x).data)):
         raise NonFiniteError(f"non-finite values entering {where}")
     return x
 
@@ -106,6 +109,77 @@ def _taps(spec: ConvSpec, l_out: int) -> list:
             for j in range(spec.kernel_size)]
 
 
+@lru_cache(maxsize=256)
+def _tap_rows(spec: ConvSpec, l: int, l_out: int) -> tuple:
+    """Per tap j of the padded input: the outputs [lo, hi) whose tap j reads
+    a row of the unpadded input, and the strided slice of the rows they read.
+    The other outputs read the zero padding."""
+    s, p = spec.stride, spec.padding
+    rows = []
+    for j, tap in enumerate(_taps(spec, l_out)):
+        lo = min(l_out, max(0, -((tap.start - p) // s)))
+        hi = max(lo, min(l_out, (l - 1 + p - tap.start) // s + 1))
+        first = tap.start - p + lo * s
+        rows.append((j, lo, hi, slice(first, first + (hi - lo) * s, s)))
+    return tuple(rows)
+
+
+# The conv kernels work channels-last, on (batch, length, channels) blocks:
+# an im2col window matrix and one GEMM per pass.  conv1d_forward and the
+# autoencoder and classifier conv-stack nodes all run on them.
+
+def _conv_forward(x: np.ndarray, spec: ConvSpec, weight: Tensor, bias: Tensor):
+    """Convolve a channels-last (b, l, c) block: the (b, l_out, out_channels)
+    result and the cache ``_conv_backward`` needs.
+
+    The window matrix, (b * l_out, kernel * c), is the one window-sized copy:
+    row (n, i) holds taps 0..k-1 of output i, written one strided copy per
+    tap straight from ``x``, with zero rows where a tap reads the padding.
+    """
+    b, l, c = x.shape
+    if c != spec.in_channels:
+        raise DataError(f"conv1d expects {spec.in_channels} channels, got {c} "
+                        f"(input {(b, c, l)})")
+    if weight.shape != (spec.out_channels, spec.in_channels, spec.kernel_size):
+        raise DataError(f"conv1d weight shape {weight.shape} does not match {spec}")
+    if bias.shape != (spec.out_channels,):
+        raise DataError(f"conv1d bias shape {bias.shape} does not match {spec}")
+    l_out = conv1d_out_len(spec, l)
+    d, k = spec.out_channels, spec.kernel_size
+    cols = np.empty((b, l_out, k, c))
+    for j, lo, hi, rows in _tap_rows(spec, l, l_out):
+        if lo:
+            cols[:, :lo, j] = 0.0
+        cols[:, lo:hi, j] = x[:, rows]
+        if hi < l_out:
+            cols[:, hi:, j] = 0.0
+    cols = cols.reshape(b * l_out, k * c)
+    w2 = weight.data.transpose(0, 2, 1).reshape(d, k * c)
+    out = (cols @ w2.T + bias.data).reshape(b, l_out, d)
+    return out, (spec, weight, bias, cols, w2, x.shape)
+
+
+def _conv_backward(g: np.ndarray, cache, need_input: bool):
+    """Given the gradient of a ``_conv_forward`` result, (b, l_out, d),
+    accumulate the weight and bias gradients; with ``need_input``, return
+    the channels-last input gradient (b, l, c), added tap by tap."""
+    spec, weight, bias, cols, w2, (b, l, c) = cache
+    d, k = spec.out_channels, spec.kernel_size
+    l_out = g.shape[1]
+    g2 = np.ascontiguousarray(g.reshape(b * l_out, d))
+    if weight.requires_grad:
+        weight._accumulate((g2.T @ cols).reshape(d, k, c).transpose(0, 2, 1))
+    if bias.requires_grad:
+        bias._accumulate(g2.sum(axis=0))
+    if not need_input:
+        return None
+    gcols = (g2 @ w2).reshape(b, l_out, k, c)
+    gx = np.zeros((b, l, c))
+    for j, lo, hi, rows in _tap_rows(spec, l, l_out):
+        gx[:, rows] += gcols[:, lo:hi, j]
+    return gx
+
+
 def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
     """Cross-correlation along the last axis, lowered to one matrix product
     per pass over a (batch * l_out, kernel * in_channels) window matrix.
@@ -113,41 +187,14 @@ def conv1d_forward(x, spec: ConvSpec, weight: Tensor, bias: Tensor) -> Tensor:
     weight is (out_channels, in_channels, kernel_size); bias is (out_channels,).
     """
     x3, back = _entering(x, "conv1d")
-    b, c, l = x3.shape
-    if c != spec.in_channels:
-        raise DataError(f"conv1d expects {spec.in_channels} channels, got {c} (input {x3.shape})")
-    if weight.shape != (spec.out_channels, spec.in_channels, spec.kernel_size):
-        raise DataError(f"conv1d weight shape {weight.shape} does not match {spec}")
-    if bias.shape != (spec.out_channels,):
-        raise DataError(f"conv1d bias shape {bias.shape} does not match {spec}")
-    l_out = conv1d_out_len(spec, l)
-    d, k, p = spec.out_channels, spec.kernel_size, spec.padding
-
-    padded = np.zeros((b, l + 2 * p, c))                      # channels last
-    padded[:, p:p + l] = x3.data.transpose(0, 2, 1)
-    taps = _taps(spec, l_out)
-    # the one window-sized copy: row (n, i) holds taps 0..k-1 of output i
-    cols = np.empty((b, l_out, k, c))
-    for j, tap in enumerate(taps):
-        cols[:, :, j] = padded[:, tap]
-    cols = cols.reshape(b * l_out, k * c)
-    w2 = weight.data.transpose(0, 2, 1).reshape(d, k * c)
-    out_data = (cols @ w2.T + bias.data).reshape(b, l_out, d).transpose(0, 2, 1)
+    out, cache = _conv_forward(x3.data.transpose(0, 2, 1), spec, weight, bias)
 
     def backward(g):
-        g2 = g.transpose(0, 2, 1).reshape(b * l_out, d)
-        if weight.requires_grad:
-            weight._accumulate((g2.T @ cols).reshape(d, k, c).transpose(0, 2, 1))
-        if bias.requires_grad:
-            bias._accumulate(g2.sum(axis=0))
-        if x3.requires_grad:
-            gcols = (g2 @ w2).reshape(b, l_out, k, c)
-            gx = np.zeros((b, l + 2 * p, c))
-            for j, tap in enumerate(taps):
-                gx[:, tap] += gcols[:, :, j]
-            x3._accumulate(gx[:, p:p + l].transpose(0, 2, 1))
+        gx = _conv_backward(g.transpose(0, 2, 1), cache, x3.requires_grad)
+        if gx is not None:
+            x3._accumulate(gx.transpose(0, 2, 1))
 
-    return back(_node(out_data, (x3, weight, bias), backward))
+    return back(_node(out.transpose(0, 2, 1), (x3, weight, bias), backward))
 
 
 class Conv1d:
@@ -169,6 +216,46 @@ class Conv1d:
         return {self.weight.name: self.weight, self.bias.name: self.bias}
 
 
+def _pool_taps(kernel: int, stride: int, l: int) -> list:
+    """The tap slices of windowed pooling over length ``l``."""
+    if kernel > l:
+        raise DataError(f"pool kernel {kernel} exceeds length {l}")
+    spec = ConvSpec(1, 1, kernel, stride)
+    return _taps(spec, conv1d_out_len(spec, l))
+
+
+def _running_max(first: np.ndarray, rest, track: bool = True) -> tuple:
+    """The maximum of ``first`` and each array of ``rest`` in turn, with a
+    strict > so the first maximum wins, and, when ``track``, the index of
+    the winning tap (else None)."""
+    out = first
+    arg = np.zeros(first.shape, dtype=np.intp) if track else None
+    for j, xj in enumerate(rest, 1):
+        larger = xj > out
+        out = np.where(larger, xj, out)
+        if track:
+            arg = np.where(larger, j, arg)
+    return out, arg
+
+
+def _pool_grad(g: np.ndarray, arg: np.ndarray, taps: list, shape, axis: int) -> np.ndarray:
+    """The input gradient of a pooling along ``axis``: each window's gradient
+    goes to its winning tap, and overlapping windows add."""
+    gx = np.zeros(shape)     # a negative g * False is -0.0, and 0.0 + -0.0 is +0.0
+    lead = (slice(None),) * axis
+    for j, tap in enumerate(taps):
+        gx[lead + (tap,)] += g * (arg == j)
+    return gx
+
+
+def _repeat_grad(g: np.ndarray, factor: int, axis: int) -> np.ndarray:
+    """The input gradient of ``np.repeat(x, factor, axis)``: each repeat
+    group summed copy by copy in order (numpy's own order below factor 8;
+    it sums 8 or more pairwise)."""
+    lead = (slice(None),) * axis
+    return sum(g[lead + (slice(j, None, factor),)] for j in range(factor))
+
+
 def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
     """Windowed maximum along the last axis; gradient flows to the first
     maximum of each window (ties resolved to the lowest position)."""
@@ -178,40 +265,26 @@ def maxpool1d(x, kernel: int, stride: int | None = None) -> Tensor:
     if stride < 1:
         raise DataError(f"pool stride must be >= 1, got {stride}")
     x3, back = _entering(x, "maxpool1d")
-    l = x3.shape[2]
-    if kernel > l:
-        raise DataError(f"pool kernel {kernel} exceeds length {l}")
-    spec = ConvSpec(1, 1, kernel, stride)
-    taps = _taps(spec, conv1d_out_len(spec, l))
-    # running maximum over the taps; the strict > keeps the first maximum
-    out_data = x3.data[:, :, taps[0]].copy()
-    arg = np.zeros(out_data.shape, dtype=np.intp)
-    for j in range(1, kernel):
-        xj = x3.data[:, :, taps[j]]
-        larger = xj > out_data
-        out_data = np.where(larger, xj, out_data)
-        arg = np.where(larger, j, arg)
+    taps = _pool_taps(kernel, stride, x3.shape[2])
+    out_data, arg = _running_max(x3.data[:, :, taps[0]].copy(),
+                                 [x3.data[:, :, tap] for tap in taps[1:]], x3.requires_grad)
 
     def backward(g):
-        gx = np.zeros(x3.shape)     # a negative g * False is -0.0, and 0.0 + -0.0 is +0.0
-        for j, tap in enumerate(taps):
-            gx[:, :, tap] += g * (arg == j)
-        x3._accumulate(gx)
+        x3._accumulate(_pool_grad(g, arg, taps, x3.shape, axis=2))
 
     return back(_node(out_data, (x3,), backward))
 
 
 def upsample_nearest(x, factor: int) -> Tensor:
     """Repeat each position ``factor`` times along the last axis; the
-    backward pass sums the gradient over each repeat group, copy by copy in
-    order (numpy's own order below factor 8; it sums 8 or more pairwise)."""
+    backward pass sums the gradient over each repeat group in order."""
     if factor < 1:
         raise DataError(f"upsample factor must be >= 1, got {factor}")
     x3, back = _entering(x, "upsample_nearest")
     out_data = np.repeat(x3.data, factor, axis=2)
 
     def backward(g):
-        x3._accumulate(sum(g[:, :, j::factor] for j in range(factor)))
+        x3._accumulate(_repeat_grad(g, factor, axis=2))
 
     return back(_node(out_data, (x3,), backward))
 

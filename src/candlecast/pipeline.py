@@ -265,7 +265,10 @@ def _setting(pair: str, where: str) -> tuple:
         raise ConfigError(f"{where}expected key=value, got {pair!r}")
     if key not in DEFAULTS:
         raise ConfigError(f"{where}unknown key {key!r}")
-    return key, _parse_value(key, text)
+    try:
+        return key, _parse_value(key, text)
+    except ConfigError as exc:
+        raise ConfigError(f"{where}{exc}") from None
 
 
 def load_config_file(path) -> dict:

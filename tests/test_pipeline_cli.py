@@ -198,6 +198,22 @@ def test_config_file_layering(tmp_path):
         load_config_file(missing)
 
 
+def test_bad_value_names_its_source(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text("# header\nwindow = abc\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg line 2: window: expected an integer"):
+        load_config_file(bad)
+    with pytest.raises(ConfigError, match="^override: cannot parse number 'abc'"):
+        build_config(None, ["fee_rate=abc"])
+    out_dir = f"out_dir={tmp_path / 'out'}"
+    assert main(["report", "--config", str(bad), out_dir]) == 2
+    assert capsys.readouterr().err == (f"configuration error: {bad} line 2: window: "
+                                       "expected an integer, got 'abc'\n")
+    assert main(["report", "window=abc", out_dir]) == 2
+    assert capsys.readouterr().err == ("configuration error: override: window: "
+                                       "expected an integer, got 'abc'\n")
+
+
 def test_seed_streams_are_stable_and_distinct():
     a = seed_streams(7)
     b = seed_streams(7)
@@ -411,13 +427,29 @@ def test_cli_autoencoder_divergence_exits_5(tmp_path, capsys):
         warnings.simplefilter("always")
         assert main(["run-all", *overrides]) == 5
     err = capsys.readouterr().err
-    assert "training diverged: [prepare:autoencoders]" in err
+    assert "training diverged: [prepare:autoencoders] non-finite loss in epoch 1\n" in err
     # the overflow before it surfaces only as that line, not as numpy warnings
     assert "RuntimeWarning" not in err
     assert not [w for w in caught if issubclass(w.category, RuntimeWarning)]
     # the failed prepare removed what it wrote; the manifest lists market.csv only
     root = run_paths(build_config(None, overrides)).root
     assert sorted(p.name for p in root.iterdir()) == ["manifest.json", "market.csv"]
+
+
+@pytest.mark.parametrize("key, message", [
+    ("ae_learning_rate", "[prepare:autoencoders] numeric blow-up in epoch 1: "
+                         "non-finite values entering maxpool1d"),
+    ("learning_rate", "[train] numeric blow-up in epoch 1: "
+                      "non-finite values entering lstm_many_to_one")],
+    ids=["autoencoder", "classifier"])
+def test_cli_blow_up_names_the_layer(tmp_path, capsys, key, message):
+    # the benchmark's sine_reference settings; a first Adam step of ~1e300
+    # overflows a conv stack, whose checks name the layer it entered
+    overrides = ["synthetic_n=1000", "indicator_windows=7,14", "top_k=26",
+                 "ae_epochs=8", "max_epochs=24", "patience=25", "seed=201",
+                 f"{key}=1e300", f"out_dir={tmp_path / 'out'}"]
+    assert main(["run-all", *overrides]) == 5
+    assert capsys.readouterr().err == f"training diverged: {message}\n"
 
 
 def test_cli_under_fitted_exit(tmp_path, capsys):
