@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import argparse
 import sys
+import warnings
 
 from .errors import (ArtifactError, CandlecastError, ConfigError, DataError,
                      TrainingDiverged, UnderFitted)
@@ -86,9 +87,15 @@ def _dispatch(args) -> int:
     return EXIT_OK
 
 
+def _format_warning(message, category, filename, lineno, line=None) -> str:
+    return f"warning: {message}\n"
+
+
 def main(argv=None) -> int:
     parser = _build_parser()
     args = parser.parse_args(argv)
+    # a printed warning reads like an error line, without a source location
+    previous, warnings.formatwarning = warnings.formatwarning, _format_warning
     try:
         return _dispatch(args)
     except ConfigError as exc:
@@ -109,6 +116,8 @@ def main(argv=None) -> int:
     except Exception as exc:  # noqa: BLE001 - the CLI boundary reports anything
         print(f"internal error: {type(exc).__name__}: {exc}", file=sys.stderr)
         return EXIT_INTERNAL
+    finally:
+        warnings.formatwarning = previous
 
 
 if __name__ == "__main__":

@@ -147,7 +147,9 @@ def split_channels(ds: WindowedDataset):
 
     Returns one batch per group of ``GROUPS``, in that order, shaped
     (n, group_channels, 1, window); concatenating them along the channel
-    axis reproduces ``ds.X``.
+    axis reproduces ``ds.X``.  Each indicator group feeds an autoencoder
+    that needs a code narrower than its input, so it must have at least
+    two channels; an empty group is reported before a one-channel one.
     """
     out = []
     for cls in FeatureClass:
@@ -156,6 +158,10 @@ def split_channels(ds: WindowedDataset):
             raise DataError(f"no {cls.value} channels; widen the indicator grid "
                             "so every group is populated")
         out.append(ds.X[:, idx])
+    for cls, batch in zip(FeatureClass, out):
+        if batch.shape[1] < 2 and cls is not FeatureClass.OHLCV:
+            raise DataError(f"only 1 {cls.value} channel; widen the indicator grid "
+                            "or raise top_k so every autoencoder group has at least 2")
     return tuple(out)
 
 

@@ -28,8 +28,11 @@ def adam_step(value: np.ndarray, grad: np.ndarray, m: np.ndarray, v: np.ndarray,
 
 
 class Adam:
-    """Holds per-parameter moment state; ``step()`` consumes ``.grad`` and
-    ``zero_grad()`` clears it for the next accumulation."""
+    """Packs the parameters, in the order given, into one flat float64
+    vector, with one flat gradient and one moment pair beside it; each
+    parameter's ``.data`` and ``.grad`` become reshaped views into them.
+    ``step()`` consumes ``.grad`` in one ``adam_step`` over every parameter
+    and ``zero_grad()`` clears it for the next accumulation."""
 
     def __init__(self, params, lr: float = 1e-3, beta1: float = 0.9,
                  beta2: float = 0.999, eps: float = 1e-8):
@@ -41,23 +44,40 @@ class Adam:
         for p in self.params:
             if not p.requires_grad:
                 raise DataError(f"parameter {p.name!r} does not track gradients")
+        if len({id(p) for p in self.params}) != len(self.params):
+            raise DataError("a parameter is listed twice")
         self.lr = float(lr)
         self.beta1, self.beta2, self.eps = float(beta1), float(beta2), float(eps)
         self.t = 0
-        self._m = [np.zeros_like(p.data) for p in self.params]
-        self._v = [np.zeros_like(p.data) for p in self.params]
+        ends = np.cumsum([p.data.size for p in self.params])
+        self._data, self._grad, self._m, self._v = (np.zeros(int(ends[-1])) for _ in range(4))
+        self._views = [(self._data[a:b].reshape(p.shape), self._grad[a:b].reshape(p.shape))
+                       for p, a, b in zip(self.params, (0, *ends[:-1]), ends)]
+        self._adopt()
+
+    def _adopt(self) -> None:
+        """Copy each ``.data`` or ``.grad`` rebound away from its view into
+        its slice (a ``.grad`` of None as zeros) and point it back at the
+        view; one identity test per array when nothing was rebound."""
+        for p, (data, grad) in zip(self.params, self._views):
+            if p.data is not data:
+                data[...] = p.data
+                p.data = data
+            if p.grad is not grad:
+                grad[...] = 0.0 if p.grad is None else p.grad
+                p.grad = grad
 
     def zero_grad(self) -> None:
-        for p in self.params:
-            p.grad = None
+        self._grad.fill(0.0)
+        for p, (_, grad) in zip(self.params, self._views):
+            p.grad = grad
 
     def step(self) -> None:
         self.t += 1
-        for i, p in enumerate(self.params):
-            grad = p.grad if p.grad is not None else np.zeros_like(p.data)
-            p.data, self._m[i], self._v[i] = adam_step(
-                p.data, grad, self._m[i], self._v[i], self.t,
-                self.lr, self.beta1, self.beta2, self.eps)
+        self._adopt()
+        self._data[:], self._m, self._v = adam_step(
+            self._data, self._grad, self._m, self._v, self.t,
+            self.lr, self.beta1, self.beta2, self.eps)
 
 
 def fit(params, lr: float, n: int, batch_size: int, rng: np.random.Generator,

@@ -8,6 +8,8 @@ fixed seed reproduces training bit for bit.
 
 Broadcasting ops un-broadcast their gradients (sum over expanded axes),
 so biases and scalar constants mix freely with batched activations.
+Operands that track no gradient (targets, labels, masks) get none: their
+share of the upstream gradient is never computed.
 """
 from __future__ import annotations
 
@@ -78,6 +80,8 @@ class Tensor:
         self.grad = None
 
     def _accumulate(self, g) -> None:
+        if not self.requires_grad:
+            return                  # a constant: no gradient is ever read
         if self.grad is None:
             # g + 0.0, broadcast into a fresh array: -0.0 becomes +0.0
             # exactly as zeros + g would
@@ -201,8 +205,10 @@ def add(a, b) -> Tensor:
     out_data = a.data + b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g, a.shape))
-        b._accumulate(_unbroadcast(g, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g, b.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -212,8 +218,10 @@ def mul(a, b) -> Tensor:
     out_data = a.data * b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g * b.data, a.shape))
-        b._accumulate(_unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(g * a.data, b.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -223,8 +231,10 @@ def div(a, b) -> Tensor:
     out_data = a.data / b.data
 
     def backward(g):
-        a._accumulate(_unbroadcast(g / b.data, a.shape))
-        b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
+        if a.requires_grad:
+            a._accumulate(_unbroadcast(g / b.data, a.shape))
+        if b.requires_grad:
+            b._accumulate(_unbroadcast(-g * a.data / (b.data * b.data), b.shape))
 
     return _node(out_data, (a, b), backward)
 
@@ -249,8 +259,10 @@ def matmul(a, b) -> Tensor:
     out_data = a.data @ b.data
 
     def backward(g):
-        a._accumulate(g @ b.data.T)
-        b._accumulate(a.data.T @ g)
+        if a.requires_grad:
+            a._accumulate(g @ b.data.T)
+        if b.requires_grad:
+            b._accumulate(a.data.T @ g)
 
     return _node(out_data, (a, b), backward)
 
@@ -289,9 +301,11 @@ def tanh(a) -> Tensor:
 
 def stable_sigmoid(z: np.ndarray) -> np.ndarray:
     """Logistic function on a float64 array; exp only ever sees -|z|, so
-    large magnitudes cannot overflow."""
+    large magnitudes cannot overflow.  One divide, same bits as
+    ``where(z >= 0, 1/(1+e), e/(1+e))``."""
     e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+    num = np.where(z >= 0, 1.0, e)
+    return num / (1.0 + e)
 
 
 def sigmoid(a) -> Tensor:

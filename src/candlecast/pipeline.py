@@ -518,7 +518,7 @@ def stage_prepare(config: PipelineConfig) -> RunPaths:
             for label, batch in zip(_AE_GROUPS, groups[1:]):
                 requested = getattr(config, f"ae_code_{label}")
                 channels = batch.shape[1]
-                code = min(requested, channels - 1) if channels > 1 else requested
+                code = min(requested, channels - 1)
                 if code != requested:
                     warnings.warn(f"{label} group has {channels} channels; "
                                   f"code size clamped from {requested} to {code}")

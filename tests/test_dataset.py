@@ -132,6 +132,21 @@ def test_split_channels_empty_group_errors():
         split_channels(ds)
 
 
+def test_split_channels_one_channel_group_errors():
+    # one SMA and one RSI leave the price-like and non-price-like groups a
+    # single channel each; an autoencoder needs a code narrower than that
+    specs = [IndicatorSpec("SMA", {"window": 7}), IndicatorSpec("EMA", {"window": 7}),
+             IndicatorSpec("RSI", {"window": 7})]
+    table, _ = _table(seed=60, specs=specs)
+    ds = make_windows(table, table.column("close"), window=10)
+    with pytest.raises(DataError, match="only 1 non_price_like channel"):
+        split_channels(ds)
+    table, _ = _table(seed=60, specs=specs[1:] + [IndicatorSpec("ROC", {"window": 7})])
+    ds = make_windows(table, table.column("close"), window=10)
+    with pytest.raises(DataError, match="only 1 price_like channel"):
+        split_channels(ds)
+
+
 def test_normalize_price_channels():
     table, _ = _table(seed=61)
     ds = make_windows(table, table.column("close"), window=10)

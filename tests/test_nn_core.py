@@ -21,6 +21,9 @@ from candlecast.nn import (Adam, Conv1d, ConvSpec, Dense, LstmCell, Tensor,
                            sigmoid, softmax, upsample_nearest)
 from candlecast.nn.tensor import concat, no_grad, relu, stable_sigmoid, tanh
 
+from candlecast.autoencoder import build_autoencoder
+from candlecast.classifier import build_classifier, forward
+
 from conftest import gradcheck
 
 
@@ -333,6 +336,130 @@ def test_adam_minimizes_quadratic():
         loss.backward()
         opt.step()
     assert x.data[0] == pytest.approx(3.0, abs=1e-3)
+
+
+def _small_loss(p, x):
+    """Reuses w, sends -0.0 gradients through relu into r, and leaves
+    ``unused`` out of the graph."""
+    h = tanh(Tensor(x) @ p["w"] + p["b"])
+    return ((h * p["s"]).sum() + (relu(p["w"]) * 0.5).sum()
+            + (relu(p["r"]) * -1.5).sum() + (h * h).mean())
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).view(np.int64)
+
+
+def test_adam_flat_store_bits_match_per_parameter_loop():
+    rng = np.random.default_rng(16)
+    init = {"w": rng.normal(size=(3, 4)), "b": rng.normal(size=4), "s": rng.normal(size=1),
+            "r": rng.normal(size=(2, 3)), "unused": rng.normal(size=(2, 2))}
+    live = {k: parameter(v, k) for k, v in init.items()}
+    ref = {k: parameter(v, k) for k, v in init.items()}
+    m = {k: np.zeros_like(v) for k, v in init.items()}
+    v = {k: np.zeros_like(a) for k, a in init.items()}
+    x = rng.normal(size=(5, 3))
+    lr = 0.05
+
+    def ref_step(t, grads):
+        for k, p in ref.items():
+            g = grads.get(k)
+            g = np.zeros_like(p.data) if g is None else g
+            p.data, m[k], v[k] = adam_step(p.data, g, m[k], v[k], t, lr)
+
+    # grads set before construction are the first step's (unused has none)
+    first = {k: rng.normal(size=a.shape) for k, a in init.items() if k != "unused"}
+    for k, g in first.items():
+        live[k].grad = g.copy()
+    opt = Adam(live, lr=lr)
+    opt.step()
+    ref_step(1, first)
+    for t in range(2, 51):
+        opt.zero_grad()
+        if t == 30:                      # a checkpoint restore rebinds .data
+            state = {k: rng.normal(size=a.shape) for k, a in init.items()}
+            restore_parameters(live, state)
+            for k, p in ref.items():
+                p.data = state[k].copy()
+        for p in ref.values():
+            p.grad = None
+        _small_loss(live, x).backward()
+        _small_loss(ref, x).backward()
+        grads = {k: p.grad for k, p in ref.items()}
+        for k, p in live.items():
+            want = np.zeros_like(p.data) if grads[k] is None else grads[k]
+            np.testing.assert_array_equal(_bits(p.grad), _bits(want), err_msg=f"{k} step {t}")
+        if t == 10:
+            live["w"].grad = grads["w"] = None
+        if t == 20:
+            live["b"].grad = np.full(4, 0.25)
+            grads["b"] = np.full(4, 0.25)
+        opt.step()
+        ref_step(t, grads)
+        for k, p in live.items():
+            np.testing.assert_array_equal(_bits(p.data), _bits(ref[k].data), err_msg=f"{k} step {t}")
+        # step() points rebound arrays back at the one value and gradient store
+        assert len({id(p.data.base) for p in live.values()}) == 1
+        assert len({id(p.grad.base) for p in live.values()}) == 1
+    with pytest.raises(DataError, match="listed twice"):
+        Adam([live["w"], live["w"]])
+
+
+def _constant_operands(loss):
+    """Every operand in ``loss``'s graph that tracks no gradient."""
+    seen, stack, found = {id(loss)}, [loss], []
+    while stack:
+        for p in stack.pop()._parents:
+            if id(p) not in seen:
+                seen.add(id(p))
+                (stack if p.requires_grad else found).append(p)
+    return found
+
+
+def test_concat_gives_a_constant_part_no_gradient():
+    w, c = parameter(np.ones((2, 3))), Tensor(np.zeros((1, 3)))
+    (concat([w, c]) * 2.0).sum().backward()
+    assert c.grad is None
+    np.testing.assert_array_equal(w.grad, np.full((2, 3), 2.0))
+
+
+@pytest.mark.parametrize("case", ["autoencoder", "classifier"])
+def test_constants_get_no_gradient_and_parameter_grads_keep_bits(case):
+    rng = np.random.default_rng(17)
+    if case == "autoencoder":
+        model = build_autoencoder(10, 4, 24, seed=1)
+        x = rng.normal(size=(64, 10, 1, 24))
+        expected = {x.shape}                              # the negated mse target
+
+        def build():
+            xb = Tensor(x)
+            return mse_loss(model.reconstruct(xb), xb)
+    else:
+        model = build_classifier(5, 4, 4, 24, seed=1)
+        groups = [rng.normal(size=(64, c, 1, 24)) for c in (5, 4, 4)]
+        y = (rng.random(64) < 0.5).astype(float)
+        expected = {(64,), (64, 20)}                      # bce labels, dropout mask
+
+        def build():
+            return bce_loss(forward(model, *groups, training=True, rng=3), y)
+    params = model.parameters()
+    loss = build()
+    loss.backward()
+    constants = _constant_operands(loss)
+    assert expected <= {c.shape for c in constants}
+    assert all(c.grad is None for c in constants)
+    got = {k: p.grad.copy() for k, p in params.items()}
+    # the old rule: every operand takes its share of the gradient
+    for p in params.values():
+        p.grad = None
+    loss = build()
+    constants = _constant_operands(loss)
+    for c in constants:
+        c.requires_grad = True
+    loss.backward()
+    assert all(c.grad is not None for c in constants)
+    for k, p in params.items():
+        np.testing.assert_array_equal(_bits(got[k]), _bits(p.grad), err_msg=k)
 
 
 def test_checkpoint_round_trip(tmp_path):
@@ -674,6 +801,27 @@ def test_stable_sigmoid_bits_match_two_branch_formula():
     old[~pos] = ez / (1.0 + ez)
     assert stable_sigmoid(z).tobytes() == old.tobytes()
     assert np.isnan(stable_sigmoid(np.array([np.nan]))[0])   # NaN stays NaN
+
+
+def test_stable_sigmoid_one_divide_bits_match_where_formula():
+    # magnitudes 1e-300 to 800, both signs, then the edges, -0.0 and -NaN included
+    rng = np.random.default_rng(18)
+    scale = 10.0 ** rng.uniform(-300.0, np.log10(800.0), 100_000)
+    edges = np.array([0.0, np.inf, np.nan, 5e-324, 709.8, 745.2, 36.0, 1e308])
+    z = np.concatenate([scale, edges, -scale, -edges])
+    z = z[rng.permutation(z.size)]
+
+    def where_formula(z):
+        e = np.exp(-np.abs(z))
+        return np.where(z >= 0, 1.0 / (1.0 + e), e / (1.0 + e))
+
+    for arg in (z, z[::3], z.reshape(2, -1).T):     # contiguous and strided
+        np.testing.assert_array_equal(_bits(stable_sigmoid(arg)), _bits(where_formula(arg)))
+    for x in (0.0, -3.0, 3.0):                     # 0-d, as from a scalar tensor
+        assert _bits(stable_sigmoid(np.array(x))) == _bits(where_formula(np.array(x)))
+        y = sigmoid(Tensor(x, requires_grad=True))
+        y.backward()
+        assert y.data.shape == () and y.data == where_formula(np.array(x))
 
 
 def test_accumulate_first_write_bits_match_zeros_plus_grad():

@@ -3,7 +3,11 @@ from __future__ import annotations
 
 import inspect
 import json
+import os
+import subprocess
+import sys
 import warnings
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -27,6 +31,8 @@ from candlecast.synthetic import sine_market
 from candlecast.trainer import TrainConfig
 
 from conftest import make_series
+
+ROOT = Path(__file__).resolve().parent.parent
 
 # small but end-to-end viable settings; windows (7, 14) keep both feature
 # classes populated and top_k=26 retains every generated column
@@ -418,6 +424,33 @@ def test_backtest_stride_is_refused_before_any_work(tmp_path, capsys):
     assert main(["backtest", *overrides]) == 2
     assert capsys.readouterr().err.startswith("configuration error: stride must be 1")
     assert {p.name: p.read_bytes() for p in root.iterdir()} == before
+
+
+def test_cli_one_channel_group_exits_3(tmp_path, capsys):
+    # top_k=4 keeps one price-like column; refused as data, before any AE
+    overrides = list(_FAST) + ["top_k=4", f"out_dir={tmp_path / 'out'}"]
+    assert main(["run-all", *overrides]) == 3
+    assert capsys.readouterr().err == (
+        "data error: [prepare:channels] only 1 price_like channel; widen the "
+        "indicator grid or raise top_k so every autoencoder group has at least 2\n")
+
+
+def test_cli_warnings_print_without_location(tmp_path):
+    # top_k=5 leaves the price group 2 channels, so its code of 2 is clamped;
+    # global mode warns of look-ahead at backtest.  In a fresh interpreter,
+    # since pytest records warnings instead of printing them.
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(ROOT / "src"),
+                                                      env.get("PYTHONPATH")]))
+    done = subprocess.run([sys.executable, "-m", "candlecast.cli", "run-all", *_FAST,
+                           "top_k=5", "wavelet_mode=global", f"out_dir={tmp_path / 'out'}"],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 4, done.stderr
+    assert done.stderr.splitlines()[:2] == [
+        "warning: price group has 2 channels; code size clamped from 2 to 1",
+        "warning: global wavelet mode denoises with the full series in view; "
+        "backtest results include look-ahead and overstate live performance"]
+    assert done.stderr.splitlines()[2].startswith("training verdict: under_fitted")
 
 
 @pytest.mark.filterwarnings("ignore:overflow", "ignore:invalid value")

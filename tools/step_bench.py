@@ -1,0 +1,100 @@
+"""Micro-benchmark of one training step at the default shapes.
+
+    python3 tools/step_bench.py
+
+Times mini-batch steps of the channel autoencoder at 8 and 17 channels
+and of the classifier (groups 5/4/4), at the default window, code size,
+batch sizes, learning rates and classifier widths, on random inputs and one
+BLAS thread.  A step is what ``fit`` does per mini-batch: ``zero_grad``,
+the loss, ``backward`` and one ``Adam.step``.  Each case prints the median
+over REPEATS repeats of STEPS steps of the microseconds per step, and the
+minor page faults per step (``resource.getrusage``) of the fastest repeat.
+Run it from the repository root or anywhere else; it imports
+``src/candlecast``.
+"""
+from __future__ import annotations
+
+import os
+
+for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ[_var] = "1"          # before numpy loads its BLAS
+
+import resource  # noqa: E402
+import statistics  # noqa: E402
+import sys  # noqa: E402
+import time  # noqa: E402
+from pathlib import Path  # noqa: E402
+
+sys.path.insert(0, str(Path(__file__).resolve().parents[1] / "src"))
+
+import numpy as np  # noqa: E402
+
+from candlecast.autoencoder import build_autoencoder  # noqa: E402
+from candlecast.classifier import build_classifier, forward  # noqa: E402
+from candlecast.nn import Adam, Tensor, bce_loss, mse_loss  # noqa: E402
+from candlecast.pipeline import DEFAULTS  # noqa: E402
+
+OHLCV_CHANNELS = 5
+STEPS = 50          # training steps per timed repeat
+REPEATS = 7         # timed repeats per case
+
+
+def autoencoder_case(channels: int):
+    rng = np.random.default_rng(channels)
+    model = build_autoencoder(channels, DEFAULTS["ae_code_price"], DEFAULTS["window"], seed=0)
+    x = rng.standard_normal((DEFAULTS["ae_batch_size"], channels, 1, DEFAULTS["window"]))
+
+    def loss():
+        xb = Tensor(x)
+        return mse_loss(model.reconstruct(xb), xb)
+
+    return Adam(model.parameters(), lr=DEFAULTS["ae_learning_rate"]), loss
+
+
+def classifier_case():
+    rng = np.random.default_rng(0)
+    code = DEFAULTS["ae_code_price"]
+    model = build_classifier(OHLCV_CHANNELS, code, code, DEFAULTS["window"], seed=0,
+                             hidden_size=DEFAULTS["clf_hidden"],
+                             branch_channels=DEFAULTS["clf_branch_channels"],
+                             dropout_rate=DEFAULTS["clf_dropout"])
+    batch = DEFAULTS["batch_size"]
+    groups = [rng.standard_normal((batch, c, 1, DEFAULTS["window"]))
+              for c in (OHLCV_CHANNELS, code, code)]
+    labels = (rng.random(batch) < 0.5).astype(float)
+
+    def loss():
+        return bce_loss(forward(model, *groups, training=True, rng=rng), labels)
+
+    return Adam(model.parameters(), lr=DEFAULTS["learning_rate"]), loss
+
+
+def measure(opt: Adam, loss, steps: int) -> tuple:
+    """Seconds and minor page faults of ``steps`` training steps."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    for _ in range(steps):
+        opt.zero_grad()
+        loss().backward()
+        opt.step()
+    elapsed = time.perf_counter() - t0
+    return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
+
+
+def main() -> int:
+    cases = {"autoencoder, 8 channels": lambda: autoencoder_case(8),
+             "autoencoder, 17 channels": lambda: autoencoder_case(17),
+             "classifier, groups 5/4/4": classifier_case}
+    print(f"numpy {np.__version__}, one BLAS thread, {REPEATS} x {STEPS} steps")
+    for name, build in cases.items():
+        opt, loss = build()
+        measure(opt, loss, STEPS)          # warm-up
+        runs = [measure(opt, loss, STEPS) for _ in range(REPEATS)]
+        us = statistics.median(seconds for seconds, _ in runs) / STEPS * 1e6
+        faults = min(runs)[1] / STEPS
+        print(f"{name:<26} {us:9.1f} us/step  {faults:8.1f} minor faults/step")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())
