@@ -34,10 +34,19 @@ from .nn.tensor import _node, infer
 _CHUNK = 256
 
 
+def max_code_channels(in_channels: int) -> int:
+    """The widest code an autoencoder over ``in_channels`` channels takes.
+
+    A code is at least one channel and narrower than its input, so a group
+    needs two channels to have an autoencoder at all (below that this is 0).
+    """
+    return in_channels - 1
+
+
 class AutoencoderModel:
     def __init__(self, in_channels: int, code_channels: int, width: int,
                  rng: np.random.Generator, name: str = "ae"):
-        if code_channels < 1 or code_channels >= in_channels:
+        if not 1 <= code_channels <= max_code_channels(in_channels):
             raise ConfigError(f"need 1 <= code_channels < in_channels, "
                               f"got code={code_channels}, in={in_channels}")
         if width < 2 or width % 2:

@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from .autoencoder import max_code_channels
 from .errors import ArtifactError, DataError
 from .framing import (header_value, parse_header, read_framed, split_payload,
                       write_framed)
@@ -147,9 +148,9 @@ def split_channels(ds: WindowedDataset):
 
     Returns one batch per group of ``GROUPS``, in that order, shaped
     (n, group_channels, 1, window); concatenating them along the channel
-    axis reproduces ``ds.X``.  Each indicator group feeds an autoencoder
-    that needs a code narrower than its input, so it must have at least
-    two channels; an empty group is reported before a one-channel one.
+    axis reproduces ``ds.X``.  Each indicator group feeds an autoencoder,
+    so it needs room for a code (:func:`max_code_channels`); an empty group
+    is reported before one too narrow for a code.
     """
     out = []
     for cls in FeatureClass:
@@ -159,7 +160,7 @@ def split_channels(ds: WindowedDataset):
                             "so every group is populated")
         out.append(ds.X[:, idx])
     for cls, batch in zip(FeatureClass, out):
-        if batch.shape[1] < 2 and cls is not FeatureClass.OHLCV:
+        if cls is not FeatureClass.OHLCV and max_code_channels(batch.shape[1]) < 1:
             raise DataError(f"only 1 {cls.value} channel; widen the indicator grid "
                             "or raise top_k so every autoencoder group has at least 2")
     return tuple(out)

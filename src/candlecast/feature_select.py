@@ -1,14 +1,18 @@
 """Gradient-boosted tree feature ranking and top-k column selection.
 
-Small second-order boosting machine for binary targets, built for exact
-reproducibility rather than speed:
+Small second-order boosting machine for binary targets, exactly
+reproducible and vectorised over features:
 
   - logistic loss; per-sample gradient g = p - y, hessian h = p (1 - p)
   - leaf weight -G / (H + lambda) with L2 strength lambda = 1, no
     complexity penalty (gamma = 0)
   - exact greedy splits over each node's rows presorted by every feature,
-    a stable partition of its parent's (XGBoost's column blocks); split gain
+    with their sorted values alongside, both a stable partition of the
+    parent's (XGBoost's column blocks); split gain
     0.5 * (GL^2/(HL+l) + GR^2/(HR+l) - G^2/(H+l))
+  - each node scans its features together, in chunks of about
+    ``_SCAN_CELLS`` (feature, row) cells: one gather, one prefix sum, the
+    gain arithmetic in place and one argmax per chunk, in reused buffers
   - ties broken deterministically: lowest feature index first, then
     lowest threshold
   - importance of a feature is the total split gain it collected
@@ -29,6 +33,14 @@ from .indicators import OHLCV_NAMES, FeatureTable
 from .nn.tensor import stable_sigmoid
 
 _LAMBDA = 1.0
+# (feature, row) cells per split-scan chunk: large enough to amortise the
+# per-call cost of numpy, small enough that a chunk's arrays stay in cache
+_SCAN_CELLS = 32768
+
+
+def _check_finite(X: np.ndarray) -> None:
+    if not np.all(np.isfinite(X)):
+        raise DataError("non-finite values in feature matrix")
 
 
 @dataclass(frozen=True)
@@ -85,6 +97,7 @@ class GbdtModel:
         X = np.asarray(X, dtype=np.float64)
         if X.ndim != 2 or X.shape[1] != len(self.feature_names):
             raise DataError(f"expected (n, {len(self.feature_names)}) matrix, got {X.shape}")
+        _check_finite(X)
         score = np.zeros(len(X))
         buf = np.empty(len(X))
         idx = np.arange(len(X))
@@ -100,34 +113,70 @@ class GbdtModel:
         return {n: float(v) for n, v in zip(self.feature_names, self.importance)}
 
 
-def _best_split(cols, block, g, h, min_leaf, G, H):
+def _best_split(block, vals, tied, g, h, min_leaf, G, H, work):
     """Scan every feature of the node's sorted row ``block`` for the best gain.
 
-    ``cols`` is the feature-major (F, n) matrix and row f of the (F, m)
-    ``block`` lists the node's rows sorted by feature f.  Returns
-    (gain, feature, j) or None: rows ``block[feature, :j + 1]`` go left and
-    the threshold is the value of row ``block[feature, j + 1]``.
+    Row f of the (F, m) ``block`` lists the node's rows sorted by feature f,
+    row f of ``vals`` their values of feature f, and row f of the (F, m - 1)
+    ``tied`` marks equal neighbours in ``vals``.  Features are scanned
+    together, about ``_SCAN_CELLS`` (feature, row) cells at a time, at the
+    cuts that leave at least ``min_leaf`` rows on each side.  Returns (gain,
+    feature, j) or None: rows ``block[feature, :j + 1]`` go left and the
+    threshold is ``vals[feature, j + 1]``.  ``work`` holds four flat buffers
+    of at least one chunk's cells, reused from chunk to chunk.
     """
-    best = None
-    m = block.shape[1]
-    left_n = np.arange(1, m)
-    sizes_ok = (left_n >= min_leaf) & (m - left_n >= min_leaf)
+    n_features, m = block.shape
+    lo, hi = min_leaf - 1, m - min_leaf    # cut j leaves j + 1 rows on the left
     parent_score = G ** 2 / (H + _LAMBDA)
-    for f, sub in enumerate(block):
-        vs = cols[f][sub]
-        valid = sizes_ok & (vs[:-1] < vs[1:])
-        if not valid.any():
-            continue
-        GL = np.cumsum(g[sub])[:-1]
-        HL = np.cumsum(h[sub])[:-1]
-        GR = G - GL
-        HR = H - HL
-        gain = 0.5 * (GL ** 2 / (HL + _LAMBDA) + GR ** 2 / (HR + _LAMBDA) - parent_score)
-        gain[~valid] = -np.inf
-        j = int(np.argmax(gain))      # first max = lowest threshold
-        if gain[j] > 0.0 and (best is None or gain[j] > best[0]):
-            best = (float(gain[j]), f, j)
+    step = max(1, _SCAN_CELLS // m)
+    best = None
+    for f0 in range(0, n_features, step):
+        sub = block[f0:f0 + step]
+        k = len(sub)
+        # indices are in range; with ``out`` the default mode="raise" would
+        # write to a temporary first
+        GL, HL = (a.take(sub, out=buf[:k * m].reshape(k, m), mode="clip")
+                  for a, buf in zip((g, h), work))
+        GL = np.cumsum(GL, axis=1, out=GL)[:, lo:hi]
+        HL = np.cumsum(HL, axis=1, out=HL)[:, lo:hi]
+        gain, HR = (buf[:k * (hi - lo)].reshape(k, hi - lo) for buf in work[2:])
+        # 0.5 * (GL^2 / (HL + l) + GR^2 / (HR + l) - G^2 / (H + l)), in place
+        np.subtract(G, GL, out=gain)        # GR
+        np.square(gain, out=gain)
+        np.subtract(H, HL, out=HR)
+        HR += _LAMBDA
+        gain /= HR
+        np.square(GL, out=GL)
+        HL += _LAMBDA
+        GL /= HL
+        np.add(GL, gain, out=gain)
+        gain -= parent_score
+        gain *= 0.5
+        np.copyto(gain, -np.inf, where=tied[f0:f0 + step, lo:hi])
+        # first max in (feature, cut) order: lowest feature, then lowest threshold
+        i, j = divmod(int(gain.argmax()), hi - lo)
+        if gain[i, j] > 0.0 and (best is None or gain[i, j] > best[0]):
+            best = (float(gain[i, j]), f0 + i, lo + j)
     return best
+
+
+def _partition(block, vals, left, right, goes_left, arena):
+    """Split every row of the (F, m) ``block`` and ``vals`` into the rows
+    listed in ``left`` and those in ``right``, each kept in its order (a
+    stable partition).  The halves are written one after the other into the
+    flat buffers ``arena``; returns ((block, vals) left, (block, vals) right).
+    """
+    goes_left[left] = True
+    goes_left[right] = False
+    go_left = goes_left.take(block)
+    halves, start = [], 0
+    for side in (go_left, ~go_left):
+        at = np.flatnonzero(side)           # flat positions, row after row
+        stop = start + len(at)
+        halves.append(tuple(a.take(at, out=buf[start:stop], mode="clip").reshape(len(block), -1)
+                            for a, buf in zip((block, vals), arena)))
+        start = stop
+    return halves
 
 
 def fit_gbdt(X: np.ndarray, y: np.ndarray, config: GbdtConfig, feature_names=None) -> GbdtModel:
@@ -143,8 +192,7 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, config: GbdtConfig, feature_names=Non
     n, n_features = X.shape
     if y.shape != (n,):
         raise DataError(f"y shape {y.shape} does not match {n} rows")
-    if not np.all(np.isfinite(X)):
-        raise DataError("non-finite values in feature matrix")
+    _check_finite(X)
     if not np.all((y == 0.0) | (y == 1.0)):
         raise DataError("labels must be 0 or 1")
     if feature_names is None:
@@ -160,39 +208,54 @@ def fit_gbdt(X: np.ndarray, y: np.ndarray, config: GbdtConfig, feature_names=Non
 
     score = np.zeros(n)
     min_leaf = config.min_samples_leaf
+    goes_left = np.empty(n, dtype=bool)
+    # a scan chunk holds at most max(_SCAN_CELLS, n) cells, and never more
+    # than the whole block
+    work = np.empty((4, min(max(_SCAN_CELLS, n), max(n_features, 1) * n)))
+    # the children's blocks and values, one level apart: depth first, a
+    # level's arena holds the two children of one parent at a time
+    arenas = [(np.empty(n_features * n, dtype=np.intp), np.empty(n_features * n))
+              for _ in range(config.max_depth - 1)]
 
-    def build(block, rows, depth):
-        # ``rows`` lists the node's rows in the order its G and H are summed
-        G = float(g[rows].sum())
-        H = float(h[rows].sum())
-        if depth < config.max_depth and len(rows) >= 2 * min_leaf:
-            found = _best_split(cols, block, g, h, min_leaf, G, H)
+    def build(rows, depth, block, vals, tied=None):
+        # ``rows`` lists the node's rows in the order its G and H are summed;
+        # ``block`` and ``vals`` are None below the deepest level that splits
+        G = float(g.take(rows).sum())
+        H = float(h.take(rows).sum())
+        if block is not None and len(rows) >= 2 * min_leaf:
+            if tied is None:
+                tied = vals[:, :-1] == vals[:, 1:]
+            found = _best_split(block, vals, tied, g, h, min_leaf, G, H, work)
             if found is not None:
                 gain, f, j = found
                 model.importance[f] += gain
-                node = _Node(feature=f, threshold=float(cols[f][block[f, j + 1]]))
-                # one mask over the block: a stable partition of every row list
-                go_left = cols[f][block] < node.threshold
-                left = block[go_left].reshape(n_features, -1)
-                right = block[~go_left].reshape(n_features, -1)
-                node.left = build(left, left[f], depth + 1)
-                node.right = build(right, right[f], depth + 1)
+                node = _Node(feature=f, threshold=float(vals[f, j + 1]))
+                # row f of the block is sorted by feature f: its head goes left
+                left, right = block[f, :j + 1], block[f, j + 1:]
+                kids = ((None, None), (None, None))
+                if depth + 1 < config.max_depth:
+                    kids = _partition(block, vals, left, right, goes_left, arenas[depth])
+                node.left = build(left, depth + 1, *kids[0])
+                node.right = build(right, depth + 1, *kids[1])
                 return node
         return _Node(value=-G / (H + _LAMBDA))
 
     cols = np.ascontiguousarray(X.T)
     root_block = np.argsort(cols, axis=1, kind="stable")
+    root_vals = np.take_along_axis(cols, root_block, axis=1)
+    root_tied = root_vals[:, :-1] == root_vals[:, 1:]
     all_idx = np.arange(n)
     out = np.empty(n)
+    p = stable_sigmoid(score)
     for _ in range(config.rounds):
-        p = stable_sigmoid(score)
         g = p - y
         h = p * (1.0 - p)
-        model.trees.append(build(root_block, all_idx, 0))
+        model.trees.append(build(all_idx, 0, root_block, root_vals, root_tied))
         _apply_tree(model.trees[-1], X, out, all_idx)
         score += config.learning_rate * out
-        p = np.clip(stable_sigmoid(score), 1e-12, 1.0 - 1e-12)
-        model.loss_history.append(float(-np.mean(y * np.log(p) + (1.0 - y) * np.log(1.0 - p))))
+        p = stable_sigmoid(score)
+        q = np.clip(p, 1e-12, 1.0 - 1e-12)
+        model.loss_history.append(float(-np.mean(y * np.log(q) + (1.0 - y) * np.log(1.0 - q))))
     return model
 
 

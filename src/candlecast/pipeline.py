@@ -24,7 +24,8 @@ from pathlib import Path
 
 import numpy as np
 
-from .autoencoder import build_autoencoder, encode, train_autoencoder
+from .autoencoder import (build_autoencoder, encode, max_code_channels,
+                          train_autoencoder)
 from .classifier import build_classifier, predict_batch
 from .dataset import (GROUPS, direction_labels, fit_norm_stats, load_windows,
                       make_windows, normalize, save_windows, split_channels)
@@ -518,7 +519,7 @@ def stage_prepare(config: PipelineConfig) -> RunPaths:
             for label, batch in zip(_AE_GROUPS, groups[1:]):
                 requested = getattr(config, f"ae_code_{label}")
                 channels = batch.shape[1]
-                code = min(requested, channels - 1)
+                code = min(requested, max_code_channels(channels))
                 if code != requested:
                     warnings.warn(f"{label} group has {channels} channels; "
                                   f"code size clamped from {requested} to {code}")

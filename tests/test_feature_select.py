@@ -4,6 +4,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from candlecast import feature_select
 from candlecast.dataset import direction_labels
 from candlecast.errors import ConfigError, DataError
 from candlecast.feature_select import (GbdtConfig, fit_gbdt, load_importance_csv,
@@ -309,3 +310,88 @@ def test_tree_builder_matches_reference_on_edge_cases(config, tree_sizes):
     model = _assert_matches_reference(X, y, config)
     if tree_sizes is not None:
         assert {len(_pre_order(tree, [])) for tree in model.trees} <= tree_sizes
+
+
+def test_predict_raw_rejects_non_finite_input():
+    X, y = _make_data(n=80, seed=13)
+    model = fit_gbdt(X, y, GbdtConfig(rounds=3))
+    for bad_value in (np.nan, np.inf, -np.inf):
+        bad = X.copy()
+        bad[0, 0] = bad_value
+        with pytest.raises(DataError, match="non-finite values in feature matrix"):
+            model.predict_raw(bad)
+        with pytest.raises(DataError, match="non-finite"):
+            model.predict_proba(bad)
+
+
+_WIDE_ROWS, _WIDE_FEATURES = 400, 200
+
+
+def _wide_data(informative, seed=14):
+    # the tests below place columns around the root's chunk boundaries
+    assert feature_select._SCAN_CELLS // _WIDE_ROWS == 81
+    rng = np.random.default_rng(seed)
+    y = rng.integers(0, 2, _WIDE_ROWS).astype(float)
+    X = rng.normal(size=(_WIDE_ROWS, _WIDE_FEATURES))
+    X[:, informative] = y + rng.normal(0.0, 0.3, _WIDE_ROWS)
+    return X, y
+
+
+def test_chunked_scan_matches_reference_with_best_split_in_a_later_chunk():
+    X, y = _wide_data(informative=170)
+    model = _assert_matches_reference(X, y, GbdtConfig(rounds=4))
+    assert model.trees[0].feature == 170
+
+
+def test_chunked_scan_duplicate_across_chunk_boundary_keeps_lower_index():
+    X, y = _wide_data(informative=80)
+    X[:, 81] = X[:, 80]                  # first column of the root's second chunk
+    model = _assert_matches_reference(X, y, GbdtConfig(rounds=4))
+    assert model.trees[0].feature == 80
+    assert model.importance[80] > 0.0
+    assert model.importance[81] == 0.0
+
+
+def test_chunked_scan_first_chunk_all_constant():
+    X, y = _wide_data(informative=120)
+    X[:, :81] = 3.0
+    model = _assert_matches_reference(X, y, GbdtConfig(rounds=4))
+    assert np.all(model.importance[:81] == 0.0)
+
+
+def test_chunked_scan_single_feature():
+    X, y = _make_data(seed=15)
+    _assert_matches_reference(X[:, 2:3], y, GbdtConfig(rounds=10))
+
+
+def test_chunked_scan_no_features_fits_leaf_only_trees():
+    X, y = _make_data(n=100, seed=16)
+    model = _assert_matches_reference(X[:, :0], y, GbdtConfig(rounds=5))
+    assert all(tree.value is not None for tree in model.trees)
+    assert np.all(model.importance == 0.0)
+
+
+def _perfbench_matrix(candles, windows=None):
+    series = sine_market(n=candles, seed=201)
+    table = generate_features(series, default_grid(windows) if windows else default_grid())
+    closes = series.close[len(series) - len(table):]
+    train_rows = int(len(table) * 0.8)
+    return table.values[:train_rows - 1], direction_labels(closes[:train_rows])
+
+
+@pytest.mark.parametrize("candles, windows, shape", [
+    (1000, (7, 14), (772, 31)),       # sine_reference
+    (2000, None, (1558, 64)),         # staged_retrain
+], ids=["sine_reference", "staged_retrain"])
+def test_chunked_scan_matches_reference_at_perfbench_shapes(candles, windows, shape):
+    X, y = _perfbench_matrix(candles, windows)
+    assert X.shape == shape
+    _assert_matches_reference(X, y, GbdtConfig())
+
+
+@pytest.mark.parametrize("cells", [1, 10 ** 9], ids=["one_feature", "all_features"])
+def test_chunk_size_does_not_change_the_model(monkeypatch, cells):
+    X, y = _tied_data()
+    X = np.hstack([X, _make_data(n=len(X), seed=17)[0]])
+    monkeypatch.setattr(feature_select, "_SCAN_CELLS", cells)
+    _assert_matches_reference(X, y, GbdtConfig(rounds=10, min_samples_leaf=5))

@@ -9,8 +9,14 @@ BLAS thread.  A step is what ``fit`` does per mini-batch: ``zero_grad``,
 the loss, ``backward`` and one ``Adam.step``.  Each case prints the median
 over REPEATS repeats of STEPS steps of the microseconds per step, and the
 minor page faults per step (``resource.getrusage``) of the fastest repeat.
-Run it from the repository root or anywhere else; it imports
-``src/candlecast``.
+
+A last case times the GBDT feature ranking (``fit_gbdt``, the default
+``gbdt_*`` settings but GBDT_ROUNDS rounds) on the default grid's
+features of ``sine_market(seed=7)`` before denoising, over the training
+rows the pipeline uses (a 3158 x 64 matrix), and prints the median over
+REPEATS fits of the milliseconds per boosting round, the argsort of the
+columns included.  Run it from the repository root or anywhere else; it
+imports ``src/candlecast``.
 """
 from __future__ import annotations
 
@@ -31,12 +37,17 @@ import numpy as np  # noqa: E402
 
 from candlecast.autoencoder import build_autoencoder  # noqa: E402
 from candlecast.classifier import build_classifier, forward  # noqa: E402
+from candlecast.dataset import direction_labels  # noqa: E402
+from candlecast.feature_select import fit_gbdt  # noqa: E402
+from candlecast.indicators import default_grid, generate_features  # noqa: E402
 from candlecast.nn import Adam, Tensor, bce_loss, mse_loss  # noqa: E402
-from candlecast.pipeline import DEFAULTS  # noqa: E402
+from candlecast.pipeline import DEFAULTS, PipelineConfig  # noqa: E402
+from candlecast.synthetic import sine_market  # noqa: E402
 
 OHLCV_CHANNELS = 5
 STEPS = 50          # training steps per timed repeat
 REPEATS = 7         # timed repeats per case
+GBDT_ROUNDS = 25    # boosting rounds per timed fit
 
 
 def autoencoder_case(channels: int):
@@ -69,6 +80,16 @@ def classifier_case():
     return Adam(model.parameters(), lr=DEFAULTS["learning_rate"]), loss
 
 
+def gbdt_case():
+    """The pipeline's GBDT training matrix and labels on the default grid."""
+    series = sine_market(seed=7)
+    table = generate_features(series, default_grid())
+    closes = series.close[len(series) - len(table):]
+    train_rows = int(len(table) * DEFAULTS["train_fraction"])
+    config = PipelineConfig({"gbdt_rounds": GBDT_ROUNDS}).gbdt_config()
+    return table.values[:train_rows - 1], direction_labels(closes[:train_rows]), config
+
+
 def measure(opt: Adam, loss, steps: int) -> tuple:
     """Seconds and minor page faults of ``steps`` training steps."""
     faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
@@ -93,6 +114,16 @@ def main() -> int:
         us = statistics.median(seconds for seconds, _ in runs) / STEPS * 1e6
         faults = min(runs)[1] / STEPS
         print(f"{name:<26} {us:9.1f} us/step  {faults:8.1f} minor faults/step")
+    X, y, config = gbdt_case()
+    fit_gbdt(X, y, config)                 # warm-up
+    runs = []
+    for _ in range(REPEATS):
+        t0 = time.perf_counter()
+        fit_gbdt(X, y, config)
+        runs.append(time.perf_counter() - t0)
+    ms = statistics.median(runs) / GBDT_ROUNDS * 1e3
+    name = f"gbdt, {X.shape[0]} x {X.shape[1]}"
+    print(f"{name:<26} {ms:9.2f} ms/round")
     return 0
 
 
