@@ -7,8 +7,8 @@ stage is a width-preserving Conv1d (k=3, s=1, p=1) + ReLU, then
 MaxPool(2,2) immediately undone by Upsample(2).  The decoder mirrors the
 schedule back up and finishes with a final linear convolution after the
 last upsample, so a convolution (not an upsample) produces the output.
-The encoder and the decoder each run as one graph node with a
-hand-written backward, on the conv kernels of ``nn.layers``.
+The encoder and the decoder are step lists run by ``nn.layers.conv_stacks``,
+which checks the input entering ``conv1d``, relu outputs entering ``maxpool1d``.
 
 Training minimizes mean-squared reconstruction error with the
 adaptive-moment optimizer, then the model is frozen before the classifier
@@ -22,11 +22,9 @@ import numpy as np
 
 from .errors import ConfigError, DataError
 from .nn import Conv1d, ConvSpec, Tensor, as_tensor, mse_loss
-from .nn.layers import (_conv_backward, _conv_forward, _entering, _pool_grad,
-                        _pool_taps, _repeat_grad, _running_max, as_batch,
-                        check_finite, drop_height)
+from .nn.layers import as_batch, conv_stacks, drop_height
 from .nn.optim import fit
-from .nn.tensor import _node, infer
+from .nn.tensor import infer
 
 
 # instances per encode pass: bounds the transient conv window matrices, so
@@ -64,28 +62,33 @@ class AutoencoderModel:
         self.dec1 = conv(self.code_channels, self.mid_channels, "dec1")
         self.dec2 = conv(self.mid_channels, self.in_channels, "dec2")
         self.conv_f = conv(self.in_channels, self.in_channels, "conv_f")
+        block = lambda layer: (("conv1d", layer), ("relu", None), ("maxpool1d", 2),
+                               ("upsample_nearest", 2))
+        self.encoder = block(self.enc1) + block(self.enc2)
+        self.decoder = block(self.dec1) + block(self.dec2) + (("conv1d", self.conv_f),)
         self.trained = False
         self.loss_history: list[float] = []
 
     def parameters(self) -> dict:
-        out = {}
-        for layer in (self.enc1, self.enc2, self.dec1, self.dec2, self.conv_f):
-            out.update(layer.parameters())
-        return out
+        return {name: p for kind, layer in self.encoder + self.decoder if kind == "conv1d"
+                for name, p in layer.parameters().items()}
 
     def parameter_count(self) -> int:
         return sum(p.data.size for p in self.parameters().values())
 
     def encode_forward(self, x) -> Tensor:
-        x, back = _entering(self._check(x), "conv1d")
-        return back(_stack(x, (self.enc1, self.enc2)))
+        return self._run(self._check(x), self.encoder)
 
     def decode_forward(self, code) -> Tensor:
-        code, back = _entering(code, "conv1d")
-        return back(_stack(code, (self.dec1, self.dec2), self.conv_f))
+        return self._run(code, self.decoder)
 
     def reconstruct(self, x) -> Tensor:
-        return self.decode_forward(self.encode_forward(x))
+        """decode_forward(encode_forward(x)) as one stack (the code is finite)."""
+        return self._run(self._check(x), self.encoder + self.decoder)
+
+    def _run(self, x, steps: tuple) -> Tensor:
+        out, (back,) = conv_stacks([(x, steps)])
+        return back(out.transpose(0, 2, 1))
 
     def _check(self, x) -> Tensor:
         x = as_tensor(x)
@@ -93,49 +96,6 @@ class AutoencoderModel:
             raise DataError(f"expected {self.in_channels} channels x width {self.width}, "
                             f"got input shape {x.shape}")
         return x
-
-
-def _stack(x: Tensor, blocks: tuple, final: Conv1d | None = None) -> Tensor:
-    """``blocks``, each Conv1d -> ReLU -> MaxPool(2, 2) -> Upsample(2), then
-    ``final`` with no activation, over a (b, c, l) Tensor as one graph node
-    with a hand-written backward.
-
-    Activations stay channels-last between the convolutions.  A block pools
-    its conv output with the relu on the first tap of each pair only: the
-    pair's value is relu(a), or b where b > relu(a).  That is the maximum of
-    (relu(a), relu(b)) with the first maximum winning, bit for bit and NaN
-    included, so the gradient reaches the winner when its value is positive.
-    Each block's pooled values are checked as ``maxpool1d`` checks the relu
-    output: they are finite exactly when it is.
-    """
-    h = x.data.transpose(0, 2, 1)
-    saved = []
-    for layer in blocks:
-        y, cache = _conv_forward(h, layer.spec, layer.weight, layer.bias)
-        taps = _pool_taps(2, 2, y.shape[1])
-        pooled, arg = _running_max(np.fmax(y[:, taps[0]], 0.0) + 0.0, [y[:, taps[1]]])
-        check_finite(pooled, "maxpool1d")
-        h = np.repeat(pooled, 2, axis=1)
-        saved.append((cache, y.shape, taps, pooled, arg))
-    convs = blocks
-    if final is not None:
-        h, final_cache = _conv_forward(h, final.spec, final.weight, final.bias)
-        convs = blocks + (final,)
-
-    def backward(g):
-        g = g.transpose(0, 2, 1)
-        if final is not None:
-            g = _conv_backward(g, final_cache, True)
-        for i in reversed(range(len(saved))):
-            cache, shape, taps, pooled, arg = saved[i]
-            keep = _repeat_grad(g, 2, axis=1) * (pooled > 0)
-            g = _pool_grad(keep, arg, taps, shape, axis=1)
-            g = _conv_backward(g, cache, i > 0 or x.requires_grad)
-        if x.requires_grad:
-            x._accumulate(g.transpose(0, 2, 1))
-
-    params = [p for conv in convs for p in conv.parameters().values()]
-    return _node(h.transpose(0, 2, 1), (x, *params), backward)
 
 
 def build_autoencoder(in_channels: int, code_channels: int, width: int,
@@ -162,6 +122,12 @@ def train_autoencoder(model: AutoencoderModel, batches: np.ndarray,
     model._check(X[:1])
     if epochs < 0:
         raise ConfigError(f"epochs must be >= 0, got {epochs}")
+    if not lr > 0.0:
+        raise ConfigError(f"learning rate must be positive, got {lr}")
+    if batch_size < 1:
+        raise ConfigError(f"batch size must be positive, got {batch_size}")
+    if patience < 1:
+        raise ConfigError(f"patience must be at least 1, got {patience}")
     if epochs == 0:
         return model.loss_history
 

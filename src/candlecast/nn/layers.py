@@ -125,8 +125,8 @@ def _tap_rows(spec: ConvSpec, l: int, l_out: int) -> tuple:
 
 
 # The conv kernels work channels-last, on (batch, length, channels) blocks:
-# an im2col window matrix and one GEMM per pass.  conv1d_forward and the
-# autoencoder and classifier conv-stack nodes all run on them.
+# an im2col window matrix and one GEMM per pass.  conv1d_forward and
+# conv_stacks, the one node both networks' conv stacks run as, call them.
 
 def _conv_forward(x: np.ndarray, spec: ConvSpec, weight: Tensor, bias: Tensor):
     """Convolve a channels-last (b, l, c) block: the (b, l_out, out_channels)
@@ -227,14 +227,14 @@ def _pool_taps(kernel: int, stride: int, l: int) -> list:
 def _running_max(first: np.ndarray, rest, track: bool = True) -> tuple:
     """The maximum of ``first`` and each array of ``rest`` in turn, with a
     strict > so the first maximum wins, and, when ``track``, the index of
-    the winning tap (else None)."""
+    the winning tap (else None): tap j raises it to j where it wins."""
     out = first
     arg = np.zeros(first.shape, dtype=np.intp) if track else None
     for j, xj in enumerate(rest, 1):
         larger = xj > out
         out = np.where(larger, xj, out)
         if track:
-            arg = np.where(larger, j, arg)
+            np.maximum(arg, j * larger, out=arg)
     return out, arg
 
 
@@ -287,6 +287,73 @@ def upsample_nearest(x, factor: int) -> Tensor:
         x3._accumulate(_repeat_grad(g, factor, axis=2))
 
     return back(_node(out_data, (x3,), backward))
+
+
+def conv_stacks(stacks) -> tuple:
+    """Conv stacks as one graph node.  ``stacks`` lists ``(x, steps)``: any
+    input ``_entering`` takes, and a tuple of ``("conv1d", Conv1d)``,
+    ``("relu", None)``, ``("maxpool1d", k)`` (kernel and stride k) and
+    ``("upsample_nearest", k)``.  Returns the node, valued the stacks'
+    channels-last (batch, length, channels) outputs side by side, and each
+    stack's ``back``; values and gradients are the composed ops', bit for
+    bit.  Checks run stack by stack where the composed ops' can fire: the
+    input (by ``_entering``) under its first step's name, each relu output
+    under the next step's.  A conv gets an input gradient, and a pool
+    tracks winners, only if the input or an earlier conv needs a gradient."""
+    stacked, outs, params, backs = [], [], [], []
+    for x, steps in stacks:
+        x, back = _entering(x, steps[0][0])
+        h = x.data.transpose(0, 2, 1)
+        deep, tape = False, []                      # deep: after a conv
+        for i, (kind, arg) in enumerate(steps):
+            if kind == "conv1d":
+                h, saved = _conv_forward(h, arg.spec, arg.weight, arg.bias)
+                params += (arg.weight, arg.bias)
+            elif kind == "relu":    # as tensor.relu, in place on a conv's own output
+                h = np.fmax(h, 0.0, out=h if tape and tape[-1][0] == "conv1d" else None)
+                h += 0.0
+                if i + 1 < len(steps):
+                    check_finite(h, steps[i + 1][0])
+                saved = h > 0
+            elif kind == "maxpool1d":
+                taps, shape = _pool_taps(arg, arg, h.shape[1]), h.shape
+                h, won = _running_max(h[:, taps[0]], [h[:, t] for t in taps[1:]],
+                                      deep or x.requires_grad)
+                saved = (won, taps, shape)
+            elif kind == "upsample_nearest":
+                h, saved = np.repeat(h, arg, axis=1), arg
+            else:
+                raise DataError(f"unknown conv-stack step {kind!r}")
+            tape.append((kind, deep, saved))
+            deep = deep or kind == "conv1d"
+        stacked.append((x, tape, h.shape[2]))
+        outs.append(h)
+        backs.append(back)
+
+    def backward(g):
+        start = 0
+        for x, tape, width in stacked:
+            gs = top = g[:, :, start:start + width]
+            start += width
+            for kind, deep, saved in reversed(tape):
+                need = deep or x.requires_grad
+                if kind == "conv1d":
+                    gs = _conv_backward(gs, saved, need)
+                if not need:
+                    break
+                if kind == "relu":      # in place, except on the node's own gradient
+                    gs = np.multiply(gs, saved, out=None if gs is top else gs)
+                    gs += 0.0
+                elif kind == "maxpool1d":
+                    gs = _pool_grad(gs, *saved, axis=1)
+                elif kind == "upsample_nearest":
+                    gs = _repeat_grad(gs, saved, axis=1)
+            if x.requires_grad:
+                x._accumulate(gs.transpose(0, 2, 1))
+
+    value = outs[0] if len(outs) == 1 else np.concatenate(outs, axis=2)
+    inputs = [x for x, _, _ in stacked]
+    return _node(value, (*inputs, *params), backward), backs
 
 
 # column blocks of the stacked gate weights: the tanh candidate first, then

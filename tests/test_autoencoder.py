@@ -162,6 +162,17 @@ def test_training_input_validation():
         train_autoencoder(model, np.zeros((5, 4, 8)), epochs=-1)
 
 
+@pytest.mark.parametrize("key, value, match", [
+    ("batch_size", 0, "batch size"), ("batch_size", -3, "batch size"),
+    ("lr", -1.0, "learning rate"), ("lr", 0.0, "learning rate"),
+    ("patience", 0, "patience")])
+def test_training_refuses_bad_settings(key, value, match):
+    model = build_autoencoder(4, 2, 8, seed=24)
+    with pytest.raises(ConfigError, match=match):
+        train_autoencoder(model, correlated_batch(5, 4, 8, seed=1), epochs=3, **{key: value})
+    assert not model.trained and model.loss_history == []
+
+
 def test_loss_history_accumulates_across_calls():
     model = build_autoencoder(4, 2, 8, seed=25)
     X = correlated_batch(60, 4, 8, seed=26)

@@ -52,6 +52,9 @@ def test_zero_head_pins_output_at_half():
 def test_window_must_divide_by_three():
     with pytest.raises(ConfigError, match="divisible by 3"):
         build_classifier(5, 4, 3, 25)
+    for window in (0, -3):
+        with pytest.raises(ConfigError, match="at least 3"):
+            build_classifier(5, 4, 3, window)
     with pytest.raises(ConfigError, match="channel"):
         build_classifier(5, 0, 3, 24)
     with pytest.raises(ConfigError, match="dropout"):
