@@ -60,6 +60,10 @@ class ClassifierModel:
                 raise ConfigError(f"{label} branch needs at least 1 channel, got {c}")
         if not 0.0 <= dropout_rate < 1.0:
             raise ConfigError(f"dropout rate must be in [0, 1), got {dropout_rate}")
+        if hidden_size < 1:
+            raise ConfigError(f"hidden size must be at least 1, got {hidden_size}")
+        if branch_channels < 1:
+            raise ConfigError(f"branch channels must be at least 1, got {branch_channels}")
         self.window = int(window)
         self.seq_len = window // 3
         self.group_channels = tuple(map(int, channels))

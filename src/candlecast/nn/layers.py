@@ -17,8 +17,8 @@ from functools import lru_cache
 import numpy as np
 
 from ..errors import DataError, NonFiniteError
-from .tensor import (Tensor, as_tensor, concat, matmul, parameter, relu,
-                     sigmoid, softmax, stable_sigmoid, tanh, _node)
+from .tensor import (Tensor, as_tensor, concat, parameter, relu, sigmoid,
+                     softmax, stable_sigmoid, tanh, _node)
 
 __all__ = ["ConvSpec", "Conv1d", "conv1d_out_len", "conv1d_forward", "maxpool1d",
            "upsample_nearest", "LstmCell", "lstm_step", "lstm_many_to_one",
@@ -368,6 +368,9 @@ class LstmCell:
 
     def __init__(self, input_size: int, hidden_size: int, rng: np.random.Generator,
                  name: str = "lstm"):
+        if input_size < 1 or hidden_size < 1:
+            raise DataError(f"lstm sizes must be >= 1, got input_size={input_size}, "
+                            f"hidden_size={hidden_size}")
         self.input_size = int(input_size)
         self.hidden_size = int(hidden_size)
         width = self.hidden_size + self.input_size
@@ -392,50 +395,61 @@ def _lstm_sequence(cell: LstmCell, seq: Tensor, a0: Tensor, c0: Tensor) -> Tenso
       pre        = [a_prev, x_t] @ W_all + b_all
       candidate  c~ = tanh(pre[:, :h]);  gates u, f, o = sigmoid(pre[:, h:])
       state      c = u * c~ + f * c_prev,  a = o * tanh(c)
-    The backward pass is hand-written backpropagation through time.
+    The backward pass is hand-written backpropagation through time.  Gate
+    values and gradients are cached gate-major, (T, 4, batch, h), so every
+    gate op runs on a contiguous (batch, h) block; only the GEMMs see the
+    (batch, 4h) row layout.
     """
     h = cell.hidden_size
     batch, steps, d = seq.shape
     weights = [cell.params[f"W_{g}"] for g in _GATES]
     biases = [cell.params[f"b_{g}"] for g in _GATES]
     w_all = np.concatenate([w.data for w in weights]).T      # (h + d, 4h)
-    b_all = np.concatenate([b.data for b in biases])
+    b_all = np.concatenate([b.data for b in biases]).reshape(4, 1, h)
 
-    # time-major caches: z[t] = [a_{t-1}, x_t], act[t] = [c~, u, f, o]
+    # time-major caches: z[t] = [a_{t-1}, x_t], pre[t] and act[t] gate-major
     z = np.empty((steps, batch, h + d))
     z[:, :, h:] = seq.data.transpose(1, 0, 2)
-    pre = np.empty((steps, batch, 4 * h))
-    act = np.empty((steps, batch, 4 * h))
+    pre = np.empty((steps, 4, batch, h))
+    act = np.empty((steps, 4, batch, h))                      # c~, u, f, o
     cs = np.empty((steps + 1, batch, h))                      # c_0 .. c_T
     tanh_c = np.empty((steps, batch, h))
     cs[0] = c0.data
     a = a0.data
     for t in range(steps):
         z[t, :, :h] = a
-        pre[t] = z[t] @ w_all + b_all
-        act[t, :, :h] = np.tanh(pre[t, :, :h])
-        act[t, :, h:] = stable_sigmoid(pre[t, :, h:])
-        cs[t + 1] = act[t, :, h:2 * h] * act[t, :, :h] + act[t, :, 2 * h:3 * h] * cs[t]
-        tanh_c[t] = np.tanh(cs[t + 1])
-        a = act[t, :, 3 * h:] * tanh_c[t]
+        gemm = z[t] @ w_all
+        np.add(gemm.reshape(batch, 4, h).transpose(1, 0, 2), b_all, out=pre[t])
+        np.tanh(pre[t, 0], out=act[t, 0])
+        stable_sigmoid(pre[t, 1:], out=act[t, 1:])
+        cand, u, f, o = act[t]
+        np.multiply(u, cand, out=cs[t + 1])
+        cs[t + 1] += f * cs[t]
+        np.tanh(cs[t + 1], out=tanh_c[t])
+        a = o * tanh_c[t]
     # overflowing products saturate the gates without a NaN; stop here
     if not np.all(np.isfinite(pre)):
         raise NonFiniteError("non-finite gate pre-activation in the lstm")
 
     def backward(g):
         da, dc = g[:, :h], g[:, h:]
-        gpre = np.empty_like(pre)
+        # the forward-only factors, each one op over the whole sequence
+        dtanh_c = 1.0 - tanh_c * tanh_c
+        dcand = 1.0 - act[:, 0] * act[:, 0]
+        dsig = act[:, 1:] * (1.0 - act[:, 1:])
+        gpre = np.empty((steps, batch, 4 * h))
+        gates = np.empty((4, batch, h))
         w_a = w_all[:h].T                                     # (4h, h)
         for t in reversed(range(steps)):
-            cand, u, f, o = (act[t, :, i * h:(i + 1) * h] for i in range(4))
-            dc = dc + da * o * (1.0 - tanh_c[t] * tanh_c[t])
-            gp = gpre[t]
-            gp[:, :h] = dc * u * (1.0 - cand * cand)
-            gp[:, h:2 * h] = dc * cand
-            gp[:, 2 * h:3 * h] = dc * cs[t]
-            gp[:, 3 * h:] = da * tanh_c[t]
-            gp[:, h:] *= act[t, :, h:] * (1.0 - act[t, :, h:])
-            da = gp @ w_a
+            cand, u, f, o = act[t]
+            dc = dc + da * o * dtanh_c[t]
+            np.multiply(dc * u, dcand[t], out=gates[0])
+            np.multiply(dc, cand, out=gates[1])
+            np.multiply(dc, cs[t], out=gates[2])
+            np.multiply(da, tanh_c[t], out=gates[3])
+            gates[1:] *= dsig[t]
+            gpre[t].reshape(batch, 4, h)[...] = gates.transpose(1, 0, 2)
+            da = gpre[t] @ w_a
             dc = dc * f
         flat = gpre.reshape(steps * batch, 4 * h)
         gw = z.reshape(steps * batch, h + d).T @ flat          # (h + d, 4h)
@@ -505,6 +519,9 @@ def lstm_many_to_one(cell: LstmCell, sequence) -> Tensor:
 class Dense:
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
                  name: str = "dense", zero_init: bool = False):
+        if in_features < 1 or out_features < 1:
+            raise DataError(f"dense sizes must be >= 1, got in_features={in_features}, "
+                            f"out_features={out_features}")
         if zero_init:
             w = np.zeros((out_features, in_features))
         else:
@@ -520,11 +537,22 @@ class Dense:
 
 
 def dense(x, weight: Tensor, bias: Tensor) -> Tensor:
-    """Affine map x W^T + b; x is (features,) or (batch, features)."""
+    """Affine map x W^T + b as one graph node; x is (features,) or
+    (batch, features)."""
     x, back = _entering(x, "dense", rank=2)
+    weight, bias = as_tensor(weight), as_tensor(bias)
     if x.shape[1] != weight.shape[1]:
         raise DataError(f"dense expects {weight.shape[1]} features, got {x.shape[1]}")
-    return back(matmul(x, weight.transpose(1, 0)) + bias)
+
+    def backward(g):
+        if x.requires_grad:
+            x._accumulate(g @ weight.data)
+        if weight.requires_grad:
+            weight._accumulate((x.data.T @ g).T)
+        if bias.requires_grad:
+            bias._accumulate(g.sum(axis=0))
+
+    return back(_node(x.data @ weight.data.T + bias.data, (x, weight, bias), backward))
 
 
 def dropout(x, rate: float, rng: np.random.Generator | int, training: bool = True) -> Tensor:

@@ -299,13 +299,15 @@ def tanh(a) -> Tensor:
     return _node(out_data, (a,), backward)
 
 
-def stable_sigmoid(z: np.ndarray) -> np.ndarray:
-    """Logistic function on a float64 array; exp only ever sees -|z|, so
-    large magnitudes cannot overflow.  One divide, same bits as
-    ``where(z >= 0, 1/(1+e), e/(1+e))``."""
+def stable_sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Logistic function on a float64 array, written into ``out`` if given;
+    exp only ever sees -|z|, so large magnitudes cannot overflow.  One
+    divide, same bits as ``where(z >= 0, 1/(1+e), e/(1+e))``: e is in
+    [0, 1] or NaN, so max(e, z >= 0) is 1 where z >= 0 and e elsewhere."""
     e = np.exp(-np.abs(z))
-    num = np.where(z >= 0, 1.0, e)
-    return num / (1.0 + e)
+    num = np.maximum(e, z >= 0)
+    e += 1.0
+    return np.divide(num, e, out=out)
 
 
 def sigmoid(a) -> Tensor:

@@ -10,6 +10,11 @@ the loss, ``backward`` and one ``Adam.step``.  Each case prints the median
 over REPEATS repeats of STEPS steps of the microseconds per step, and the
 minor page faults per step (``resource.getrusage``) of the fastest repeat.
 
+The LSTM case times the classifier's recurrence alone the same way: one
+``lstm_many_to_one`` forward and backward (an all-ones upstream gradient)
+per call, at batch ``batch_size``, window/3 steps, 3 x
+``clf_branch_channels`` inputs and ``clf_hidden`` hidden units.
+
 A last case times the GBDT feature ranking (``fit_gbdt``, the default
 ``gbdt_*`` settings but GBDT_ROUNDS rounds) on the default grid's
 features of ``sine_market(seed=7)`` before denoising, over the training
@@ -40,7 +45,8 @@ from candlecast.classifier import build_classifier, forward  # noqa: E402
 from candlecast.dataset import direction_labels  # noqa: E402
 from candlecast.feature_select import fit_gbdt  # noqa: E402
 from candlecast.indicators import default_grid, generate_features  # noqa: E402
-from candlecast.nn import Adam, Tensor, bce_loss, mse_loss  # noqa: E402
+from candlecast.nn import (Adam, LstmCell, Tensor, bce_loss, lstm_many_to_one,  # noqa: E402
+                           mse_loss, parameter)
 from candlecast.pipeline import DEFAULTS, PipelineConfig  # noqa: E402
 from candlecast.synthetic import sine_market  # noqa: E402
 
@@ -59,7 +65,7 @@ def autoencoder_case(channels: int):
         xb = Tensor(x)
         return mse_loss(model.reconstruct(xb), xb)
 
-    return Adam(model.parameters(), lr=DEFAULTS["ae_learning_rate"]), loss
+    return training_step(Adam(model.parameters(), lr=DEFAULTS["ae_learning_rate"]), loss)
 
 
 def classifier_case():
@@ -77,7 +83,25 @@ def classifier_case():
     def loss():
         return bce_loss(forward(model, *groups, training=True, rng=rng), labels)
 
-    return Adam(model.parameters(), lr=DEFAULTS["learning_rate"]), loss
+    return training_step(Adam(model.parameters(), lr=DEFAULTS["learning_rate"]), loss)
+
+
+def lstm_case():
+    """One forward and backward pass of the classifier's LSTM."""
+    rng = np.random.default_rng(0)
+    width = 3 * DEFAULTS["clf_branch_channels"]
+    cell = LstmCell(width, DEFAULTS["clf_hidden"], rng)
+    seq = parameter(rng.standard_normal((DEFAULTS["batch_size"], DEFAULTS["window"] // 3,
+                                         width)))
+    leaves = (seq, *cell.parameters().values())
+
+    def step():
+        for leaf in leaves:
+            leaf.grad = None
+        out = lstm_many_to_one(cell, seq)
+        out.backward(np.ones_like(out.data))
+
+    return step
 
 
 def gbdt_case():
@@ -90,30 +114,39 @@ def gbdt_case():
     return table.values[:train_rows - 1], direction_labels(closes[:train_rows]), config
 
 
-def measure(opt: Adam, loss, steps: int) -> tuple:
-    """Seconds and minor page faults of ``steps`` training steps."""
-    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
-    t0 = time.perf_counter()
-    for _ in range(steps):
+def training_step(opt: Adam, loss):
+    """What ``fit`` does per mini-batch, as one call."""
+    def step():
         opt.zero_grad()
         loss().backward()
         opt.step()
+
+    return step
+
+
+def measure(step, steps: int) -> tuple:
+    """Seconds and minor page faults of ``steps`` calls of ``step``."""
+    faults = resource.getrusage(resource.RUSAGE_SELF).ru_minflt
+    t0 = time.perf_counter()
+    for _ in range(steps):
+        step()
     elapsed = time.perf_counter() - t0
     return elapsed, resource.getrusage(resource.RUSAGE_SELF).ru_minflt - faults
 
 
 def main() -> int:
-    cases = {"autoencoder, 8 channels": lambda: autoencoder_case(8),
-             "autoencoder, 17 channels": lambda: autoencoder_case(17),
-             "classifier, groups 5/4/4": classifier_case}
+    cases = {"autoencoder, 8 channels": (lambda: autoencoder_case(8), "step"),
+             "autoencoder, 17 channels": (lambda: autoencoder_case(17), "step"),
+             "classifier, groups 5/4/4": (classifier_case, "step"),
+             "lstm_many_to_one fwd+bwd": (lstm_case, "call")}
     print(f"numpy {np.__version__}, one BLAS thread, {REPEATS} x {STEPS} steps")
-    for name, build in cases.items():
-        opt, loss = build()
-        measure(opt, loss, STEPS)          # warm-up
-        runs = [measure(opt, loss, STEPS) for _ in range(REPEATS)]
+    for name, (build, unit) in cases.items():
+        step = build()
+        measure(step, STEPS)               # warm-up
+        runs = [measure(step, STEPS) for _ in range(REPEATS)]
         us = statistics.median(seconds for seconds, _ in runs) / STEPS * 1e6
         faults = min(runs)[1] / STEPS
-        print(f"{name:<26} {us:9.1f} us/step  {faults:8.1f} minor faults/step")
+        print(f"{name:<26} {us:9.1f} us/{unit}  {faults:8.1f} minor faults/{unit}")
     X, y, config = gbdt_case()
     fit_gbdt(X, y, config)                 # warm-up
     runs = []
