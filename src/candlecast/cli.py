@@ -16,7 +16,7 @@ import warnings
 
 from .errors import (ArtifactError, CandlecastError, ConfigError, DataError,
                      TrainingDiverged, UnderFitted)
-from .pipeline import (DEFAULTS, build_config, report_text, run_all,
+from .pipeline import (DEFAULTS, _format_value, build_config, report_text, run_all,
                        stage_backtest, stage_ingest, stage_prepare, stage_train)
 
 EXIT_OK = 0
@@ -33,7 +33,7 @@ def _build_parser() -> argparse.ArgumentParser:
         prog="candlecast",
         description="Candle forecasting and backtesting pipeline.",
         epilog="Configuration keys and defaults: "
-               + ", ".join(f"{k}={v!r}" for k, v in sorted(DEFAULTS.items())))
+               + " ".join(f"{k}={_format_value(v)}" for k, v in sorted(DEFAULTS.items())))
     sub = parser.add_subparsers(dest="command", required=True)
     for name in _COMMANDS:
         cmd = sub.add_parser(name, help=f"run the {name} stage")

@@ -13,8 +13,9 @@ inverse drops that sample again, so reconstruction stays exact.
 
 Two modes:
   - ``global``  one transform over the whole column.  Smoothest output,
-    but value at row t depends on rows after t (look-ahead), so it is
-    only safe for fitting, never for trade simulation.
+    but row t depends on rows after t (look-ahead), so held-out candles
+    change the training rows, the feature ranking and every fitted weight:
+    it is safe neither for fitting nor for trade simulation.
   - ``causal``  row t is the last sample of the denoised prefix [0..t].
     Strictly no look-ahead; levels are clamped to what the prefix allows.
     That sample depends on a fixed number of rows at each end of the
@@ -40,10 +41,10 @@ _FILTERS = {
     "db4": np.array([1.0 + _S3, 3.0 + _S3, 3.0 - _S3, 1.0 - _S3]) / (4.0 * _SQRT2),
 }
 
-FAMILIES = ("haar", "db4")
+FAMILIES = tuple(_FILTERS)
 MODES = ("global", "causal")
 
-_ALIASES = {"haar": "haar", "db4": "db4", "daubechies4": "db4", "daubechies-4": "db4"}
+_ALIASES = {"daubechies4": "db4"}
 
 
 @dataclass(frozen=True)
@@ -53,8 +54,8 @@ class WaveletConfig:
     mode: str = "causal"
 
     def __post_init__(self):
-        fam = _ALIASES.get(self.family.lower())
-        if fam is None:
+        fam = _ALIASES.get(self.family.lower(), self.family.lower())
+        if fam not in _FILTERS:
             raise ConfigError(f"unknown wavelet family {self.family!r}; use one of {FAMILIES}")
         object.__setattr__(self, "family", fam)
         if self.mode not in MODES:

@@ -303,9 +303,6 @@ class FeatureTable:
     def column(self, name: str) -> np.ndarray:
         return self.values[:, self.names.index(name)]
 
-    def class_of(self, name: str) -> FeatureClass:
-        return self.classes[self.names.index(name)]
-
     def names_of_class(self, cls: FeatureClass):
         return [n for n, c in zip(self.names, self.classes) if c is cls]
 

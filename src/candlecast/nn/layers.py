@@ -518,14 +518,11 @@ def lstm_many_to_one(cell: LstmCell, sequence) -> Tensor:
 
 class Dense:
     def __init__(self, in_features: int, out_features: int, rng: np.random.Generator,
-                 name: str = "dense", zero_init: bool = False):
+                 name: str = "dense"):
         if in_features < 1 or out_features < 1:
             raise DataError(f"dense sizes must be >= 1, got in_features={in_features}, "
                             f"out_features={out_features}")
-        if zero_init:
-            w = np.zeros((out_features, in_features))
-        else:
-            w = rng.normal(0.0, np.sqrt(2.0 / in_features), (out_features, in_features))
+        w = rng.normal(0.0, np.sqrt(2.0 / in_features), (out_features, in_features))
         self.weight = parameter(w, name=f"{name}.weight")
         self.bias = parameter(np.zeros(out_features), name=f"{name}.bias")
 

@@ -125,51 +125,54 @@ def parse_number(text: str) -> float:
 
 
 def _parse_value(key: str, text: str):
-    template = DEFAULTS[key]
-    text = text.strip()
+    """The one reader of a setting's text, typed by its default."""
+    try:
+        return _parse_as(DEFAULTS[key], text.strip())
+    except ConfigError as exc:
+        raise ConfigError(f"{key}: {exc}") from None
+
+
+def _parse_as(template, text: str):
     if isinstance(template, bool):
         if text.lower() in ("true", "false"):
             return text.lower() == "true"
-        raise ConfigError(f"{key}: expected true or false, got {text!r}")
+        raise ConfigError(f"expected true or false, got {text!r}")
     if isinstance(template, int):
         try:
             return int(text, 10)
         except ValueError:
-            raise ConfigError(f"{key}: expected an integer, got {text!r}") from None
+            raise ConfigError(f"expected an integer, got {text!r}") from None
     if isinstance(template, float):
         return parse_number(text)
     if isinstance(template, tuple):
         parts = [p.strip() for p in text.split(",") if p.strip()]
         if not parts:
-            raise ConfigError(f"{key}: needs at least one value")
-        if isinstance(template[0], int):
-            try:
-                return tuple(int(p, 10) for p in parts)
-            except ValueError:
-                raise ConfigError(f"{key}: expected integers, got {text!r}") from None
-        return tuple(parse_number(p) for p in parts)
+            raise ConfigError("needs at least one value")
+        return tuple(_parse_as(template[0], p) for p in parts)
     return text
 
 
 def _format_value(value) -> str:
-    if isinstance(value, bool):
+    """A value as the text ``_parse_value`` reads back to it."""
+    if isinstance(value, (bool, np.bool_)):
         return "true" if value else "false"
-    if isinstance(value, float):
-        return repr(value)
-    if isinstance(value, tuple):
+    if isinstance(value, (float, np.floating)):
+        return repr(float(value))
+    if isinstance(value, (tuple, list)):
         return ",".join(_format_value(v) for v in value)
     return str(value)
 
 
 class PipelineConfig:
-    """Immutable bag of validated run settings with a canonical text form."""
+    """Immutable bag of validated run settings with a canonical text form;
+    each given value is read back from its text, as an override is."""
 
     def __init__(self, values: dict | None = None):
         merged = dict(DEFAULTS)
         for key, value in (values or {}).items():
             if key not in DEFAULTS:
                 raise ConfigError(f"unknown configuration key {key!r}")
-            merged[key] = value
+            merged[key] = _parse_value(key, _format_value(value))
         object.__setattr__(self, "_values", merged)
         self._validate()
 
@@ -184,7 +187,7 @@ class PipelineConfig:
 
     def _validate(self) -> None:
         v = self._values
-        for key in ("timeframe", "window", "stride", "top_k", "synthetic_period",
+        for key in ("timeframe", "window", "stride", "synthetic_period",
                     "synthetic_base_price", "ae_code_price", "ae_code_non_price",
                     "ae_epochs", "ae_learning_rate", "ae_batch_size",
                     "clf_hidden", "clf_branch_channels"):
@@ -203,18 +206,17 @@ class PipelineConfig:
             raise ConfigError(f"window must be even (autoencoder pooling) and divisible "
                               f"by 3 (classifier pooling), got {v['window']}")
         windows = v["indicator_windows"]
-        if not windows or min(windows) < 2 or len(set(windows)) != len(windows):
+        if min(windows) < 2 or len(set(windows)) != len(windows):
             raise ConfigError(f"indicator_windows must be distinct and at least 2, "
                               f"got {_format_value(windows)}")
         if not 0.0 < v["train_fraction"] < 1.0:
             raise ConfigError(f"train_fraction must be in (0, 1), got {v['train_fraction']}")
         if not 0.0 <= v["clf_dropout"] < 1.0:
             raise ConfigError(f"clf_dropout must be in [0, 1), got {v['clf_dropout']}")
-        if not v["theta_list"]:
-            raise ConfigError("theta_list needs at least one value")
         # sub-configurations enforce their own invariants; building them
-        # here surfaces bad values at parse time rather than mid-run
-        self.wavelet_config()
+        # here surfaces bad values at parse time rather than mid-run.  The
+        # family is kept as WaveletConfig spells it, so it names one run.
+        v["wavelet_family"] = self.wavelet_config().family
         self.gbdt_config()
         self.train_config()
         for theta in v["theta_list"]:
@@ -229,11 +231,6 @@ class PipelineConfig:
     @property
     def run_id(self) -> str:
         return hashlib.sha256(self.canonical().encode()).hexdigest()[:12]
-
-    def with_overrides(self, overrides: dict) -> "PipelineConfig":
-        merged = dict(self._values)
-        merged.update(overrides)
-        return PipelineConfig(merged)
 
     def wavelet_config(self) -> WaveletConfig:
         return WaveletConfig(self.wavelet_family, self.wavelet_levels, self.wavelet_mode)

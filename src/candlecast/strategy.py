@@ -29,7 +29,7 @@ NO_ACTION = "NoAction"
 def thresholds(theta: float) -> tuple[float, float]:
     """(Upper, Lower) action bounds; they always sum to 1."""
     theta = float(theta)
-    if theta <= 0.0:
+    if not 0.0 < theta < np.inf:
         raise ConfigError(f"theta must be positive, got {theta}")
     return 1.0 / (1.0 + theta), theta / (1.0 + theta)
 
@@ -68,11 +68,10 @@ class StrategyConfig:
     initial_margin: float = 1000.0
 
     def __post_init__(self):
-        if self.theta <= 0.0:
-            raise ConfigError(f"theta must be positive, got {self.theta}")
-        if self.fee_rate < 0.0:
+        thresholds(self.theta)      # refuses NaN and infinity, as the checks below do
+        if not 0.0 <= self.fee_rate < np.inf:
             raise ConfigError(f"fee rate cannot be negative, got {self.fee_rate}")
-        if self.initial_margin <= 0.0:
+        if not 0.0 < self.initial_margin < np.inf:
             raise ConfigError(f"initial margin must be positive, got {self.initial_margin}")
 
 
@@ -133,6 +132,8 @@ def run_backtest(sigmas, closes, labels, config: StrategyConfig) -> BacktestRepo
         raise DataError(f"need {n} labels, got {labels.shape[0]}")
     if not np.all(np.isfinite(sigmas)) or not np.all(np.isfinite(closes)):
         raise DataError("probabilities and closes must be finite")
+    if np.any((sigmas < 0.0) | (sigmas > 1.0)):
+        raise DataError("probabilities must be in [0, 1]")
     if np.any(closes <= 0.0):
         raise DataError("closes must be positive")
     if not np.isin(labels, (0.0, 1.0)).all():

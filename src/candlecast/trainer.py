@@ -89,8 +89,10 @@ class TrainConfig:
             raise ConfigError(f"patience must be at least 2, got {self.patience}")
         if self.max_epochs < 1:
             raise ConfigError(f"max_epochs must be positive, got {self.max_epochs}")
-        if self.learning_rate <= 0.0:
+        if not 0.0 < self.learning_rate < math.inf:
             raise ConfigError(f"learning rate must be positive, got {self.learning_rate}")
+        if not math.isfinite(self.slope_threshold):
+            raise ConfigError(f"slope threshold must be finite, got {self.slope_threshold}")
         if self.batch_size < 1:
             raise ConfigError(f"batch size must be positive, got {self.batch_size}")
 

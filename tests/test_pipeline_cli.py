@@ -15,7 +15,7 @@ import pytest
 from candlecast import pipeline
 from candlecast.autoencoder import train_autoencoder
 from candlecast.classifier import build_classifier, predict_batch
-from candlecast.cli import main
+from candlecast.cli import _build_parser, main
 from candlecast.denoise import WaveletConfig
 from candlecast.errors import ArtifactError, ConfigError, TrainingDiverged
 from candlecast.feature_select import GbdtConfig
@@ -33,6 +33,18 @@ from candlecast.trainer import TrainConfig
 from conftest import make_series
 
 ROOT = Path(__file__).resolve().parent.parent
+
+# dict values that spell a default another way: a number for a float key,
+# numpy scalars, a list for a tuple
+_SAME_AS_DEFAULT = ({"synthetic_period": 96}, {"train_fraction": np.float64(0.8)},
+                    {"window": np.int64(24)}, {"indicator_windows": [7, 14, 21, 35, 50]},
+                    {"theta_list": (1 / 3, 0.25, 1)}, {"fill_gaps": np.bool_(False)})
+
+# dict values that the key=value parser refuses
+_REFUSED_AS_TEXT = ({"seed": True}, {"seed": 1.5}, {"window": 24.0},
+                    {"window": "abc"}, {"fill_gaps": 1},
+                    {"learning_rate": float("nan")},
+                    {"theta_list": (float("inf"),)})
 
 # small but end-to-end viable settings; windows (7, 14) keep both feature
 # classes populated and top_k=26 retains every generated column
@@ -129,6 +141,37 @@ def test_canonical_identity():
             assert f"{key}=" in a.canonical()
 
 
+def test_dict_values_name_the_run_their_text_names():
+    canonical = PipelineConfig().canonical()
+    for key in DEFAULTS:
+        assert PipelineConfig({key: DEFAULTS[key]}).canonical() == canonical, key
+    for values in _SAME_AS_DEFAULT:
+        assert PipelineConfig(values).canonical() == canonical, values
+
+
+@pytest.mark.parametrize("values", _REFUSED_AS_TEXT,
+                         ids=[repr(v) for v in _REFUSED_AS_TEXT])
+def test_dict_values_refused_like_overrides(values):
+    (key,) = values
+    with pytest.raises(ConfigError, match=f"^{key}: "):
+        PipelineConfig(values)
+
+
+def test_wavelet_family_spellings_name_one_run():
+    lower = PipelineConfig({"wavelet_family": "haar"})
+    for config in (PipelineConfig({"wavelet_family": "Haar"}),
+                   build_config(None, ["wavelet_family=HAAR"])):
+        assert config.wavelet_family == "haar"
+        assert config.run_id == lower.run_id
+
+
+def test_help_lists_defaults_as_arguments_it_accepts():
+    pairs = _build_parser().epilog.partition(": ")[2].split()
+    parsed = parse_overrides(pairs)
+    assert ({k: _typed(v) for k, v in parsed.items()}
+            == {k: _typed(v) for k, v in DEFAULTS.items()})
+
+
 # DEFAULTS entries that repeat the default of the function or config class
 # that owns the setting: (key, owner, owner's parameter)
 _OWNED_DEFAULTS = (
@@ -209,7 +252,7 @@ def test_bad_value_names_its_source(tmp_path, capsys):
     bad.write_text("# header\nwindow = abc\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg line 2: window: expected an integer"):
         load_config_file(bad)
-    with pytest.raises(ConfigError, match="^override: cannot parse number 'abc'"):
+    with pytest.raises(ConfigError, match="^override: fee_rate: cannot parse number 'abc'"):
         build_config(None, ["fee_rate=abc"])
     out_dir = f"out_dir={tmp_path / 'out'}"
     assert main(["report", "--config", str(bad), out_dir]) == 2

@@ -200,6 +200,36 @@ def test_backtest_validation():
         StrategyConfig(initial_margin=0.0)
 
 
+@pytest.mark.parametrize("theta", [np.nan, np.inf])
+def test_thresholds_refuse_non_finite_theta(theta):
+    with pytest.raises(ConfigError, match="theta must be positive"):
+        thresholds(theta)
+
+
+@pytest.mark.parametrize("field,value,text", [
+    ("theta", np.nan, "theta must be positive"),
+    ("fee_rate", np.nan, "fee rate cannot be negative"),
+    ("fee_rate", np.inf, "fee rate cannot be negative"),
+    ("initial_margin", np.nan, "initial margin must be positive"),
+    ("initial_margin", np.inf, "initial margin must be positive"),
+])
+def test_strategy_config_refuses_non_finite(field, value, text):
+    with pytest.raises(ConfigError, match=text):
+        StrategyConfig(**{field: value})
+
+
+def test_backtest_refuses_probabilities_outside_unit_interval():
+    config = StrategyConfig()
+    closes, labels = [100.0, 101.0, 100.0, 102.0], [1.0, 0.0, 1.0]
+    for sigmas in ([1.7, -0.4, 0.7], [0.5, -0.4, 0.7], [0.5, 0.5, 1.0000001]):
+        with pytest.raises(DataError, match=r"probabilities must be in \[0, 1\]"):
+            run_backtest(sigmas, closes, labels, config)
+    # the bounds themselves are probabilities and trade at full conviction
+    report = run_backtest([1.0, 0.0, 0.5], closes, labels, config)
+    assert report.trades == 2
+    assert [row.margin for row in report.ledger] == [500.0, 500.0]
+
+
 def test_ledger_csv_round_trip(tmp_path):
     config = StrategyConfig(theta=1.0 / 3.0, fee_rate=0.001, initial_margin=1000.0)
     rng = np.random.default_rng(23)

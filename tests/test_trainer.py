@@ -90,6 +90,17 @@ def test_train_config_validation():
     assert TrainConfig().max_epochs == 2000
 
 
+@pytest.mark.parametrize("field,value,text", [
+    ("learning_rate", math.nan, "learning rate must be positive"),
+    ("learning_rate", math.inf, "learning rate must be positive"),
+    ("slope_threshold", math.nan, "slope threshold must be finite"),
+    ("slope_threshold", -math.inf, "slope threshold must be finite"),
+])
+def test_train_config_refuses_non_finite(field, value, text):
+    with pytest.raises(ConfigError, match=text):
+        TrainConfig(**{field: value})
+
+
 def _separable(n, seed, window=6):
     rng = np.random.default_rng(seed)
     ohlcv = rng.normal(size=(n, 2, window))
